@@ -12,10 +12,14 @@ variable in closed form: with hat2 the partial transform of f,
 
     K(x, y) = integral_G hat2(z, log(zx) - log(zy)) omega(zx) conj(omega(zy)) dz,
 
-so only the z-quadrature is numerical.  For fixed z and nonnegative f the
-(x, y) matrix of the integrand is positive semidefinite, hence the assembled
-kernel is PSD up to roundoff whenever f >= 0 — positivity is inherited
-structurally, not by tolerance.
+so only the z-quadrature is numerical.  For Gaussian-class symbols the
+transform exponent at V = log(zx) - log(zy) is a row term plus a column term
+minus a real cross term, so each z-node costs one real matrix exp and a
+complex outer scaling by unit phase vectors (see `assemble_kernel`).
+
+For fixed z and nonnegative f the (x, y) matrix of the integrand is positive
+semidefinite, hence the assembled kernel is PSD up to roundoff whenever
+f >= 0 — positivity is inherited structurally, not by tolerance.
 
 Point masses map straight to projectors, and symbols constant in the dual
 variable map to multiplication operators; neither is pushed through a sampled
@@ -89,35 +93,37 @@ def assemble_kernel(symbol: XiSymbol, z_nodes: np.ndarray, z_weight: float,
     row argument; ``col_data`` likewise for columns (defaults to the rows).
     This one loop serves the plain, ordering-twisted and magnetic variants.
 
-    When the symbol exposes its transform exponent in row+col-cross form the
-    window factors are folded into the exponent (their log is a small-vector
-    operation) and each node costs one matrix product, one in-place complex
-    exp and one accumulate; otherwise the generic hat2_pair route is taken.
+    The symbol supplies its transform exponent in row + col - cross form
+    (``hat2_pair_exponent``); the window factors are folded into the row and
+    column vectors through their logs.  The cross term is real, so each entry
+    splits as
+
+        exp(Re row_i + Re col_j - cross_ij) * e^{i Im row_i} * e^{i Im col_j}:
+
+    per node one real m x m exp, two length-m unit phase vectors (the
+    prefactor rides on the row one) and one complex outer scaling into the
+    accumulator.  The real matrix is exactly the real part of the full
+    complex exponent, so it overflows and underflows where that would; a zero
+    window value (log 0 = -inf) gives a zero entry.
     """
-    fused = hasattr(symbol, "hat2_pair_exponent")
-    K = None
-    buf = None
+    K = rexp = term = None
     for z in z_nodes:
         P, G = row_data(z)
         Q, H = (P, G) if col_data is None else col_data(z)
-        if fused:
-            pref, row, col, cross = symbol.hat2_pair_exponent(z, P, Q)
-            with np.errstate(divide="ignore"):
-                row = row + np.log(np.asarray(G, dtype=complex))
-                col = col + np.conjugate(np.log(np.asarray(H, dtype=complex)))
-            if buf is None:
-                buf = np.empty(cross.shape, dtype=complex)
-                K = np.zeros(cross.shape, dtype=complex)
-            np.multiply(cross, -1.0, out=buf)
-            buf += row[:, None]
-            buf += col[None, :]
-            np.exp(buf, out=buf)
-            buf *= pref
-            K += buf
-        else:
-            F = symbol.hat2_pair(z, P, Q)
-            term = F * (np.asarray(G)[:, None] * np.conjugate(H)[None, :])
-            K = term if K is None else K + term
+        pref, row, col, cross = symbol.hat2_pair_exponent(z, P, Q)
+        with np.errstate(divide="ignore"):
+            row = row + np.log(np.asarray(G, dtype=complex))
+            col = col + np.conjugate(np.log(np.asarray(H, dtype=complex)))
+        if K is None:
+            rexp = np.empty(cross.shape)
+            term = np.empty(cross.shape, dtype=complex)
+            K = np.zeros(cross.shape, dtype=complex)
+        np.subtract(row.real[:, None], cross, out=rexp)
+        rexp += col.real[None, :]
+        np.exp(rexp, out=rexp)
+        np.multiply(rexp, (pref * np.exp(1j * row.imag))[:, None], out=term)
+        term *= np.exp(1j * col.imag)[None, :]
+        K += term
     K *= z_weight
     return K
 

@@ -31,6 +31,7 @@ from .exports import (field_to_csv, load_matrix, matrix_to_csv, save_matrix,
                       write_json, xi_field_to_csv)
 from .fields import random_gaussian, sample_xi
 from .magnetic import mag_berezin, potential_preset
+from .operators import schatten_norm
 from .pseudodiff import WeylOperator, op_quantize
 from .symbols import SymbolError
 from .tau import berezin_tau, resolve_tau
@@ -111,11 +112,12 @@ def cmd_quantize(args) -> int:
         base = os.path.join(outdir, "matrix")
         save_matrix(op, base, scheme=cfg.scheme)
         matrix_to_csv(op, base + ".csv")
+        sv = op.singular_values()  # one SVD for all three norms
         summary.update({
             "matrix": base + ".bin",
             "trace": [op.trace().real, op.trace().imag],
-            "schatten": {"1": op.schatten(1), "2": op.schatten(2),
-                         "inf": op.schatten(float("inf"))},
+            "schatten": {"1": schatten_norm(sv, 1), "2": schatten_norm(sv, 2),
+                         "inf": schatten_norm(sv, float("inf"))},
             "hermiticity_residual": op.hermiticity_residual(),
         })
         field_to_csv(cfg.window(cfg.g_grid.nodes()), cfg.g_grid,

@@ -29,6 +29,7 @@ literal per-node quadrature; they must agree to reassociation error.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +40,20 @@ from .grids import Grid, XiGrid
 from .transforms import inner, l2_norm
 
 _PHASE_CACHE: dict = {}
+
+
+class NyquistWarning(UserWarning):
+    """A dual box reaches past the Nyquist band pi/h of the group grid whose
+    nodes carry the phases exp(i <y | zeta>); those phases alias there."""
+
+
+def _warn_past_nyquist(g_grid: Grid, dual_grid: Grid):
+    for axis, (half, h) in enumerate(zip(dual_grid.half_width, g_grid.spacing)):
+        band = math.pi / h
+        if half > band:
+            warnings.warn(f"dual half-width {half:g} on axis {axis} exceeds the Nyquist "
+                          f"band pi/h = {band:.4g} of the group grid; the phases alias",
+                          NyquistWarning, stacklevel=3)
 
 
 def _phase_matrix(g_grid: Grid, dual_grid: Grid) -> np.ndarray:
@@ -152,7 +167,10 @@ def fourier_wigner(alg: LieAlgebra, u: Field, v: Field, g_grid: Grid,
     "factored" evaluates the change of variables u(z^{-1}y) conj(v(y)) and
     applies the partial Fourier phase matrix in one matrix product.
     "direct" is the literal per-node quadrature (slow; cross-check route).
+    Warns (`NyquistWarning`) when the dual box of `xi_grid` is past the
+    Nyquist band pi/h of `g_grid` on some axis.
     """
+    _warn_past_nyquist(g_grid, xi_grid.dual_grid)
     z_nodes, zeta_nodes = xi_grid.node_pairs()
     y = g_grid.nodes()
     if method == "factored":
@@ -227,7 +245,12 @@ def bargmann(alg: LieAlgebra, w: Window, u: Field, xi_grid: XiGrid,
 
 
 def bargmann_adjoint(alg: LieAlgebra, w: Window, h: XiSamples, targets) -> np.ndarray:
-    """(B_omega)* h = integral h(z,zeta) omega_{z,zeta} d(z,zeta) at `targets`."""
+    """(B_omega)* h = integral h(z,zeta) omega_{z,zeta} d(z,zeta) at `targets`.
+
+    Warns (`NyquistWarning`) when h's dual box is past the Nyquist band of
+    the window's grid, the y-grid `bargmann` uses by default.
+    """
+    _warn_past_nyquist(w.grid, h.xi_grid.dual_grid)
     targets = np.asarray(targets, float)
     z_nodes, zeta_nodes = h.xi_grid.node_pairs()
     acc = np.zeros(len(targets), dtype=complex)

@@ -22,6 +22,18 @@ class OperatorError(ValueError):
     pass
 
 
+def schatten_norm(sv: np.ndarray, p: float) -> float:
+    """l^p norm of descending singular values ``sv``; p = inf takes the first.
+
+    Several norms of one operator can share a single SVD this way.
+    """
+    if p < 1:
+        raise OperatorError("Schatten exponent must satisfy p >= 1")
+    if math.isinf(p):
+        return float(sv[0]) if sv.size else 0.0
+    return float(np.sum(sv ** p) ** (1.0 / p))
+
+
 @dataclass
 class OperatorMatrix:
     """Kernel samples K(x_i, y_j) on a group grid."""
@@ -79,12 +91,7 @@ class OperatorMatrix:
 
     def schatten(self, p: float) -> float:
         """l^p norm of the singular values; p = inf is the operator norm."""
-        if p < 1:
-            raise OperatorError("Schatten exponent must satisfy p >= 1")
-        sv = self.singular_values()
-        if math.isinf(p):
-            return float(sv[0]) if sv.size else 0.0
-        return float(np.sum(sv ** p) ** (1.0 / p))
+        return schatten_norm(self.singular_values(), p)
 
     def hs_norm(self) -> float:
         """Hilbert-Schmidt norm via the Frobenius formula vol * sqrt(sum |K|^2)."""

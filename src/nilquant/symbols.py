@@ -9,15 +9,16 @@ f(x, xi), the two partial transforms
                  = hat2(x, -V)
 
 The test library is built from Gaussians in x and xi with optional linear
-phases, plus sums of such terms; each ships its exact transforms and exact
-L^p(Xi) norms.  Point-mass cases that cannot be sampled (a delta symbol on
-Xi, the pure Weyl phase, symbols constant in one variable) are dedicated
-classes that quantizers special-case.
+phases; each ships its exact transforms and exact L^p(Xi) norms.  Point-mass
+cases that cannot be sampled (a delta symbol on Xi, the pure Weyl phase,
+symbols constant in one variable) are dedicated classes that quantizers
+special-case.
 
 The quadratic exponents arising from Gaussian transforms evaluated at
-V = P_i - Q_j split as row + column + cross terms, so the (i, j) matrix of
-transform values costs one small matrix product and one complex exp; that is
-the hot path of every Berezin-type assembly.
+V = P_i - Q_j split as row + column + cross terms with a real cross term, so
+the (i, j) matrix of transform values costs one small matrix product, one
+real exp and two unit phase vectors; that is the hot path of every
+Berezin-type assembly.
 """
 
 from __future__ import annotations
@@ -116,10 +117,10 @@ class XiSymbol:
     def check2(self, x, V):
         return self.hat2(x, np.negative(V))
 
-    def hat2_pair(self, xfactor_args, P, Q):
-        """Matrix hat2(x, P_i - Q_j)[i, j]; generic slab fallback."""
-        V = np.asarray(P, float)[:, None, :] - np.asarray(Q, float)[None, :, :]
-        return self.hat2(xfactor_args, V)
+    def hat2_pair_exponent(self, x, P, Q):
+        """(prefactor, row, col, cross) with hat2(x, P_i - Q_j) =
+        prefactor * exp(row_i + col_j - cross_ij), cross real."""
+        raise SymbolError(f"{type(self).__name__} has no closed-form pair transform")
 
     def lp_norm(self, s: float) -> float:
         raise SymbolError(f"{type(self).__name__} has no closed-form L^p norm")
@@ -246,9 +247,6 @@ class TranslatedSymbol(XiSymbol):
     def hat2(self, x, V):
         return self.base.hat2(self._move(x), V)
 
-    def hat2_pair(self, x, P, Q):
-        return self.base.hat2_pair(self._move(x), P, Q)
-
     def hat2_pair_exponent(self, x, P, Q):
         return self.base.hat2_pair_exponent(self._move(x), P, Q)
 
@@ -258,33 +256,6 @@ class TranslatedSymbol(XiSymbol):
 
     def integral(self) -> complex:
         return self.base.integral()
-
-
-@dataclass(frozen=True)
-class SumSymbol(XiSymbol):
-    """Finite sum of Gaussian-class terms."""
-
-    terms: tuple
-
-    def __post_init__(self):
-        if not self.terms:
-            raise SymbolError("empty sum")
-
-    @property
-    def n(self) -> int:
-        return self.terms[0].n
-
-    def __call__(self, x, xi):
-        return sum(t(x, xi) for t in self.terms)
-
-    def hat2(self, x, V):
-        return sum(t.hat2(x, V) for t in self.terms)
-
-    def hat2_pair(self, x, P, Q):
-        return sum(t.hat2_pair(x, P, Q) for t in self.terms)
-
-    def integral(self) -> complex:
-        return sum(t.integral() for t in self.terms)
 
 
 @dataclass(frozen=True)
@@ -399,10 +370,6 @@ class XiOnlySymbol(XiSymbol):
     def hat2(self, x, V):
         return self._transform(self.psi.phase - np.asarray(V, float)) if self.psi is not None \
             else super().hat2(x, V)
-
-    def hat2_pair(self, x, P, Q):
-        V = np.asarray(P, float)[:, None, :] - np.asarray(Q, float)[None, :, :]
-        return self.hat2(x, V)
 
     def hat2_pair_exponent(self, x, P, Q):
         if self.psi is None:

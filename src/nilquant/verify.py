@@ -26,9 +26,9 @@ from .covariant import (berezin_transform, cov_full, kernel_from_cov,
                         norm_bound_check, square_compose)
 from .fields import Field, gaussian, random_gaussian
 from .grids import Grid, XiGrid
-from .magnetic import (cocycle_residual, gauge_check, landau_potential,
-                       linear3_potential, mag_berezin, mag_wigner, stokes_residual,
-                       zero_potential)
+from .magnetic import (cocycle_residual, gauge_berezin_residual,
+                       gauge_translation_residual, landau_potential, linear3_potential,
+                       mag_berezin, mag_wigner, stokes_residual, zero_potential)
 from .pseudodiff import (berezin_symbol, hs_unitarity_ratio, op_quantize,
                          op_quantize_samples)
 from .report import CheckResult, Timer, VerificationReport
@@ -671,36 +671,39 @@ def suite_magnetic(seed: int = 11, tol_scale: float = 1.0) -> list[CheckResult]:
             worst = max(worst, abs(got - ref) / abs(ref))
     _check(results, "magnetic_identity_weak", worst, 5e-2, t, tol_scale)
 
+    psi2 = Field(lambda p: p[..., 0] * p[..., 1], 2)
+
+    def grad2(p):
+        return p[..., ::-1].copy()
+
+    z2, points2 = rng.uniform(-1, 1, 2), rng.uniform(-1.5, 1.5, (10, 2))
     with Timer() as t:
-        psi2 = Field(lambda p: p[..., 0] * p[..., 1], 2)
-        rep = gauge_check(cfg2, A2b, psi2, rng.uniform(-1, 1, 2),
-                          rng.uniform(-1.5, 1.5, (10, 2)),
-                          analytic_grad=lambda p: p[..., ::-1].copy())
-    _check(results, "magnetic_gauge_translation", rep["translation_residual"],
-           1e-8, t, tol_scale)
-    _check(results, "magnetic_gauge_berezin_abelian", rep["berezin_residual"],
-           5e-2, t, tol_scale)
+        res = gauge_translation_residual(cfg2, A2b, psi2, z2, points2, analytic_grad=grad2)
+    _check(results, "magnetic_gauge_translation", res, 1e-8, t, tol_scale)
+    with Timer() as t:
+        res = gauge_berezin_residual(cfg2, A2b, psi2, analytic_grad=grad2)
+    _check(results, "magnetic_gauge_berezin_abelian", res, 5e-2, t, tol_scale)
 
     algH2, gridH, xiH, wH = heisenberg_setup(N_op=9)
     symH = standard_symbol(3)
     cfgH = BerezinConfig(algH2, wH, gridH, xiH, symH)
+    AH2 = linear3_potential(0.4)
+    psiH = Field(lambda p: 0.5 * p[..., 0] * p[..., 1] + 0.3 * p[..., 2], 3)
+
+    def gradH(p):
+        out = np.empty_like(p)
+        out[..., 0] = 0.5 * p[..., 1]
+        out[..., 1] = 0.5 * p[..., 0]
+        out[..., 2] = 0.3
+        return out
+
+    zH, pointsH = rng.uniform(-0.8, 0.8, 3), rng.uniform(-1.5, 1.5, (10, 3))
     with Timer() as t:
-        psiH = Field(lambda p: 0.5 * p[..., 0] * p[..., 1] + 0.3 * p[..., 2], 3)
-
-        def gradH(p):
-            out = np.empty_like(p)
-            out[..., 0] = 0.5 * p[..., 1]
-            out[..., 1] = 0.5 * p[..., 0]
-            out[..., 2] = 0.3
-            return out
-
-        repH = gauge_check(cfgH, linear3_potential(0.4), psiH,
-                           rng.uniform(-0.8, 0.8, 3), rng.uniform(-1.5, 1.5, (10, 3)),
-                           analytic_grad=gradH)
-    _check(results, "magnetic_gauge_translation_h1", repH["translation_residual"],
-           1e-8, t, tol_scale)
-    _check(results, "magnetic_gauge_berezin_h1", repH["berezin_residual"],
-           5e-2, t, tol_scale)
+        res = gauge_translation_residual(cfgH, AH2, psiH, zH, pointsH, analytic_grad=gradH)
+    _check(results, "magnetic_gauge_translation_h1", res, 1e-8, t, tol_scale)
+    with Timer() as t:
+        res = gauge_berezin_residual(cfgH, AH2, psiH, analytic_grad=gradH)
+    _check(results, "magnetic_gauge_berezin_h1", res, 5e-2, t, tol_scale)
     return results
 
 

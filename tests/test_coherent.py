@@ -1,15 +1,17 @@
 """Weyl system, Fourier-Wigner transform, coherent states, Bargmann maps."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from nilquant.algebra import abelian, heisenberg
-from nilquant.coherent import (PhasePoint, bargmann, bargmann_adjoint, coherent_state,
-                               fourier_wigner, fourier_wigner_at, make_window,
-                               projector, reproducing_apply, reproducing_kernel, weyl,
-                               weyl_adjoint, weyl_compose_factor)
+from nilquant.coherent import (NyquistWarning, PhasePoint, bargmann, bargmann_adjoint,
+                               coherent_state, fourier_wigner, fourier_wigner_at,
+                               make_window, projector, reproducing_apply,
+                               reproducing_kernel, weyl, weyl_adjoint,
+                               weyl_compose_factor)
 from nilquant.fields import gaussian, random_gaussian
 from nilquant.grids import Grid, XiGrid
 from nilquant.transforms import inner, l2_norm
@@ -226,3 +228,47 @@ def test_resolution_of_identity_mass():
     overlaps = bargmann(alg, w, state, xi, grid)
     total = xi.weight * float(np.sum(np.abs(overlaps.values) ** 2))
     assert abs(total - 1.0) < 5e-2
+
+
+def _h1_nyquist_case(dual_half_width):
+    """H1 with half-width 4, 7 operator nodes and a 7-per-axis Xi grid;
+    pi/h = 7 pi / 8 = 2.75 on every axis."""
+    alg = heisenberg()
+    grid = Grid.box(3, 4.0, 7)
+    xi = XiGrid.box(3, 4.0, 7, dual_half_width, 7)
+    return alg, grid, xi, make_window(alg, grid), gaussian(3, 0.9, [0.1, 0.0, 0.2])
+
+
+def _nyquist_messages(record):
+    return {str(r.message) for r in record if issubclass(r.category, NyquistWarning)}
+
+
+def test_dual_box_past_nyquist_band_warns():
+    alg, grid, xi, w, u = _h1_nyquist_case(4.0)
+    with pytest.warns(NyquistWarning) as analysis:
+        bu = bargmann(alg, w, u, xi, grid)
+    with pytest.warns(NyquistWarning) as synthesis:
+        bargmann_adjoint(alg, w, bu, grid.nodes())
+    for record in (analysis, synthesis):
+        messages = _nyquist_messages(record)
+        for axis in range(3):
+            assert any(f"axis {axis}" in m and "half-width 4" in m and "2.749" in m
+                       for m in messages)
+    assert issubclass(NyquistWarning, UserWarning)
+
+
+def test_dual_box_inside_nyquist_band_is_silent():
+    alg, grid, xi, w, u = _h1_nyquist_case(2.6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", NyquistWarning)
+        bu = bargmann(alg, w, u, xi, grid)
+        bargmann_adjoint(alg, w, bu, grid.nodes())
+
+
+def test_parse_config_accepts_dual_box_past_nyquist_band():
+    from nilquant.config import parse_config
+    cfg = parse_config({"group": "heisenberg:1",
+                        "grid": {"half_width": 4.0, "count": 7},
+                        "xi_grid": {"g": {"half_width": 4.0, "count": 7},
+                                    "dual": {"half_width": 4.0, "count": 7}}})
+    assert cfg.xi_grid.dual_grid.half_width == (4.0, 4.0, 4.0)

@@ -228,3 +228,25 @@ def test_run_suites_rejects_empty_and_unknown():
         run_suites([])
     with pytest.raises(KeyError):
         run_suites("nope")
+
+
+def test_cli_quantize_one_svd_for_all_norms(tmp_path, monkeypatch):
+    calls = []
+    singular_values = OperatorMatrix.singular_values
+
+    def counted(self):
+        calls.append(1)
+        return singular_values(self)
+
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**SMALL, "scheme": "berezin"}))
+    out_dir = tmp_path / "out"
+    monkeypatch.setattr(OperatorMatrix, "singular_values", counted)
+    assert main(["quantize", "--config", str(cfg_path), "--out", str(out_dir)]) == 0
+    assert len(calls) == 1
+    monkeypatch.undo()
+    summary = json.loads((out_dir / "summary.json").read_text())
+    op = load_matrix(str(out_dir / "matrix"))
+    for key, p in (("1", 1), ("2", 2), ("inf", float("inf"))):
+        ref = op.schatten(p)
+        assert abs(summary["schatten"][key] - ref) <= 1e-12 * ref

@@ -274,3 +274,21 @@ def test_potential_presets():
         potential_preset("landau:1.0", 3)
     with pytest.raises(ValueError):
         potential_preset("solenoid:1.0", 2)
+
+
+def test_suite_times_gauge_checks_separately(monkeypatch):
+    # small grids keep the suite quick; only the timings are under test
+    from nilquant import verify
+    plane_setup, heisenberg_setup = verify.plane_setup, verify.heisenberg_setup
+    monkeypatch.setattr(verify, "plane_setup", lambda: plane_setup(N=8))
+    monkeypatch.setattr(verify, "heisenberg_setup",
+                        lambda N_op=11: heisenberg_setup(N_xi=3, N_op=3))
+    seconds = {r.name: r.seconds for r in verify.suite_magnetic()}
+    for translation, berezin in (("magnetic_gauge_translation",
+                                  "magnetic_gauge_berezin_abelian"),
+                                 ("magnetic_gauge_translation_h1",
+                                  "magnetic_gauge_berezin_h1")):
+        # one shared timer gave both checks the same time; the Berezin
+        # residual assembles two kernels, the translation one evaluates ten
+        # points
+        assert seconds[translation] < seconds[berezin]
