@@ -9,8 +9,12 @@ Baker-Campbell-Hausdorff product
 
 which terminates at the nilpotency step.  The BCH coefficients are generated
 once, with exact rational arithmetic, from Dynkin's expansion of
-log(exp X exp Y) and cached per truncation depth; depth 6 is the supported
-maximum.  Haar measure is Lebesgue measure in these coordinates with
+log(exp X exp Y); depth 6 is the supported maximum.  Each algebra compiles
+them, on its first product, into a BCH program: words longer than the step
+are dropped, every word is folded so that its innermost bracket is [X,Y],
+brackets shared by several words are computed once, and each bracket runs
+over the nonzero structure constants only, accumulating in place into the
+returned array.  Haar measure is Lebesgue measure in these coordinates with
 normalization constant 1.
 
 All operations broadcast over leading axes: a "vector" is any ndarray whose
@@ -22,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -84,6 +88,101 @@ def bch_terms(max_depth: int = MAX_BCH_DEPTH) -> tuple[tuple[float, tuple[int, .
 
 
 # ---------------------------------------------------------------------------
+# The compiled BCH program
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class _BracketNode:
+    """One bracket ad_{p_0} ... ad_{p_{r-1}} [X, Y] of a BCH program.
+
+    The node's value is [letter, parent value], where the parent of the root
+    ([X,Y] itself) is Y.  ``ops`` are the terms (i, j, k, f) of that
+    bracket, dest_k += f A_i B_j, over the parent components j that can be
+    nonzero; ``support`` lists the components k of the value that can be
+    nonzero.  A leaf is never stored: its ops
+    carry its BCH coefficient and accumulate straight into the product.  A
+    node with children is stored once for all of them and adds ``coeff``
+    times its value to the product.
+    """
+
+    coeff: float
+    ops: tuple[tuple[int, int, int, float], ...]
+    support: tuple[int, ...]
+    children: tuple[tuple[int, "_BracketNode"], ...]
+
+
+def _compile_bch(entries, dim: int, step: int) -> tuple[tuple[int, _BracketNode], ...]:
+    """Brackets of the BCH product through `step`: () if X + Y is all, else
+    ((0, root),) with root = [X, Y], the one child of Y by the letter X.
+
+    Words longer than the step are dropped and a word ending (..., 1, 0)
+    counts as its (..., 0, 1) partner with the opposite sign, since
+    [Y,X] = -[X,Y].  A word (w_0, ..., w_{m-3}, 0, 1) is the node reached
+    from the root by the letters w_{m-3}, ..., w_0, so words sharing an inner
+    suffix share its bracket.  Brackets that vanish identically on the
+    parent's support are pruned with their subtrees.
+    """
+    coeffs: dict[tuple[int, ...], float] = {}
+    for coeff, word in bch_terms(MAX_BCH_DEPTH):
+        if 2 <= len(word) <= step:
+            sign = -1.0 if word[-2:] == (1, 0) else 1.0
+            coeffs[word[:-2]] = coeffs.get(word[:-2], 0.0) + sign * coeff
+
+    def build(prefix, parent_support):
+        ops = tuple(op for op in entries if op[1] in parent_support)
+        if not ops:
+            return None
+        support = tuple(sorted({k for _, _, k, _ in ops}))
+        children = ()
+        if len(prefix) < step - 2:
+            children = tuple((a, node) for a in (0, 1)
+                             if (node := build((a,) + prefix, support)) is not None)
+        coeff = coeffs.get(prefix, 0.0)
+        if children:
+            return _BracketNode(coeff, ops, support, children)
+        if coeff == 0.0:
+            return None
+        return _BracketNode(coeff, tuple((i, j, k, coeff * f) for i, j, k, f in ops),
+                            support, ())
+
+    root = build((), range(dim))
+    return () if root is None else ((0, root),)
+
+
+def _accumulate(ops, A, B, dest, scratch):
+    """dest[k] += f * A[i] * B[j] for each (i, j, k, f) in ops, in place.
+
+    A, B and dest are indexable by component (views of the last axis or
+    separate component arrays); `scratch` holds one product at a time.
+    """
+    for i, j, k, f in ops:
+        np.multiply(A[i], B[j], out=scratch)
+        if f != 1.0:
+            scratch *= f
+        np.add(dest[k], scratch, out=dest[k])
+
+
+def _components(v: np.ndarray) -> list[np.ndarray]:
+    """Views of the components v[..., k]."""
+    return [v[..., k] for k in range(v.shape[-1])]
+
+
+def _run_bch(children, letters, parent, out, scratch):
+    """Add each (letter, child) subtree, child = [letter, parent], into `out`."""
+    for letter, child in children:
+        if not child.children:
+            _accumulate(child.ops, letters[letter], parent, out, scratch)
+            continue
+        value = {k: np.zeros(scratch.shape) for k in child.support}
+        _accumulate(child.ops, letters[letter], parent, value, scratch)
+        if child.coeff != 0.0:
+            for k, v in value.items():
+                np.multiply(v, child.coeff, out=scratch)
+                np.add(out[k], scratch, out=out[k])
+        _run_bch(child.children, letters, value, out, scratch)
+
+
+# ---------------------------------------------------------------------------
 # The algebra
 # ---------------------------------------------------------------------------
 
@@ -125,11 +224,24 @@ class LieAlgebra:
             if np.shape(v)[-1] != self.dim:
                 raise AlgebraError(f"vector has dimension {np.shape(v)[-1]}, expected {self.dim}")
 
+    @cached_property
+    def _bracket_ops(self) -> tuple[tuple[int, int, int, float], ...]:
+        """The nonzero structure constants as (i, j, k, c_ijk)."""
+        return tuple((int(i), int(j), int(k), float(self.c[i, j, k]))
+                     for i, j, k in zip(*np.nonzero(self.c)))
+
+    @cached_property
+    def _bch_program(self) -> tuple[tuple[int, _BracketNode], ...]:
+        return _compile_bch(self._bracket_ops, self.dim, self.step)
+
     def bracket(self, X, Y) -> np.ndarray:
         """[X, Y], broadcasting over leading axes."""
         self.check_dim(X, Y)
-        X, Y = np.broadcast_arrays(np.asarray(X, float), np.asarray(Y, float))
-        return np.einsum("...i,...j,ijk->...k", X, Y, self.c)
+        X, Y = np.asarray(X, float), np.asarray(Y, float)
+        out = np.zeros(np.broadcast_shapes(X.shape, Y.shape))
+        _accumulate(self._bracket_ops, _components(X), _components(Y), _components(out),
+                    np.empty(out.shape[:-1]))
+        return out
 
     def ad(self, X) -> np.ndarray:
         """Matrix of ad_X(Z) = [X, Z]; nilpotent of index <= step."""
@@ -144,16 +256,12 @@ class LieAlgebra:
             raise AlgebraError(
                 f"nilpotency step {self.step} exceeds the supported BCH depth {MAX_BCH_DEPTH}")
         self.check_dim(X, Y)
-        X, Y = np.broadcast_arrays(np.asarray(X, float), np.asarray(Y, float))
-        letters = (X, Y)
-        out = np.zeros(np.broadcast_shapes(X.shape, Y.shape))
-        for coeff, word in bch_terms(MAX_BCH_DEPTH):
-            if len(word) > self.step:
-                continue
-            v = letters[word[-1]]
-            for letter in word[-2::-1]:
-                v = self.bracket(letters[letter], v)
-            out = out + coeff * v
+        X, Y = np.asarray(X, float), np.asarray(Y, float)
+        out = X + Y
+        if self._bch_program:
+            letters = (_components(X), _components(Y))
+            _run_bch(self._bch_program, letters, letters[1], _components(out),
+                     np.empty(out.shape[:-1]))
         return out
 
     def mul(self, x, y) -> np.ndarray:

@@ -29,7 +29,6 @@ from .algebra import LieAlgebra
 from .fields import Field
 from .grids import Grid
 from .report import CheckResult, Timer
-from .transforms import l2_norm
 
 DEFAULT_FD_STEP = 1e-4
 
@@ -237,8 +236,3 @@ def verify_ccr(ctx: CcrContext, samples: int = 4, seed: int = 7,
     check("d_lambda", r, 1e-6 if closed_form else 1e-5, t, closed_form=closed_form)
 
     return results
-
-
-def unitarity_residual(alg: LieAlgebra, u: Field, transformed: Field, grid: Grid) -> float:
-    """| ||Tu|| / ||u|| - 1 | under quadrature on the given grid."""
-    return abs(l2_norm(transformed, grid) / l2_norm(u, grid) - 1.0)

@@ -24,7 +24,7 @@ import sys
 
 import numpy as np
 
-from .algebra import preset, validate_algebra
+from .algebra import AlgebraError, preset, validate_algebra
 from .berezin import BerezinConfig, berezin_matrix
 from .config import ConfigError, ExperimentConfig, load_config, parse_config
 from .exports import (field_to_csv, load_matrix, matrix_to_csv, save_matrix,
@@ -54,7 +54,8 @@ def cmd_algebra_validate(args) -> int:
             alg = cfg.algebra
         else:
             alg = preset(args.preset)
-    except (ConfigError, Exception) as exc:
+    except (ConfigError, AlgebraError, ValueError, OSError) as exc:
+        # ValueError: a preset size that is not an integer ("abelian:x")
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     rep = validate_algebra(alg)
@@ -90,7 +91,7 @@ def cmd_quantize(args) -> int:
         if args.out:
             cfg.out = args.out
         op = _build_operator(cfg)
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     outdir = cfg.out or "."
@@ -141,7 +142,7 @@ def cmd_verify(args) -> int:
         tol_scale = args.tol_scale if args.tol_scale is not None else cfg.tolerance_scale
         suites = args.suite or cfg.suite
         report = run_suites(suites, seed=seed, tol_scale=tol_scale)
-    except (ConfigError, KeyError, ValueError) as exc:
+    except (ConfigError, KeyError, ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     for line in report.lines():
@@ -156,7 +157,8 @@ def cmd_verify(args) -> int:
 def cmd_export(args) -> int:
     try:
         op = load_matrix(args.matrix)
-    except Exception as exc:
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        # a missing file, bad JSON or data size, a missing or mistyped sidecar key
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     matrix_to_csv(op, args.csv)

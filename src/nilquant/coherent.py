@@ -261,14 +261,6 @@ def bargmann_adjoint(alg: LieAlgebra, w: Window, h: XiSamples, targets) -> np.nd
     return h.xi_grid.weight * acc
 
 
-def bargmann_adjoint_field(alg: LieAlgebra, w: Window, h: XiSamples) -> Field:
-    """Adjoint as an analytic field (evaluates the synthesis integral)."""
-    def fn(p):
-        flat = p.reshape(-1, alg.dim)
-        return bargmann_adjoint(alg, w, h, flat).reshape(p.shape[:-1])
-    return Field(fn, alg.dim)
-
-
 def reproducing_kernel(alg: LieAlgebra, w: Window, p: PhasePoint, q: PhasePoint,
                        grid: Grid | None = None) -> complex:
     """p_omega(p, q) = <omega_p, omega_q>; hermitian, p(p, p) = 1."""
@@ -290,10 +282,3 @@ def reproducing_apply(alg: LieAlgebra, w: Window, h: XiSamples,
     # <omega_Z, omega_p> = conj(<omega_p, omega_Z>) = conj(B[omega_p](Z))
     column = fourier_wigner(alg, state, w.field, g_grid, h.xi_grid)
     return complex(h.xi_grid.weight * np.sum(np.conjugate(column.values) * h.values))
-
-
-def xi_l2_distance(a: XiSamples, b: XiSamples) -> float:
-    if a.xi_grid != b.xi_grid:
-        raise ValueError("Xi grids differ")
-    w = a.xi_grid.weight
-    return math.sqrt(max(w * np.sum(np.abs(a.values - b.values) ** 2), 0.0))

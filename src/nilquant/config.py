@@ -116,13 +116,16 @@ def _build_grid(spec, n, problems, default, dual=False, label="grid") -> Grid | 
     if spec is None:
         L, N = default
         return Grid.box(n, L, N, dual=dual)
+    if not isinstance(spec, dict):
+        problems.append(f"{label} must be an object")
+        return None
     unknown = set(spec) - {"half_width", "count"}
     if unknown:
         problems.append(f"unknown {label} keys: {sorted(unknown)}")
     try:
         return Grid.box(n, spec.get("half_width", default[0]),
                         spec.get("count", default[1]), dual=dual)
-    except Exception as exc:
+    except (ValueError, TypeError) as exc:  # GridError is a ValueError
         problems.append(f"bad {label}: {exc}")
         return None
 
@@ -130,6 +133,9 @@ def _build_grid(spec, n, problems, default, dual=False, label="grid") -> Grid | 
 def _build_symbol(spec, n, problems) -> XiSymbol | None:
     if spec is None:
         spec = {"kind": "gaussian"}
+    if not isinstance(spec, dict):
+        problems.append("symbol must be an object")
+        return None
     kind = spec.get("kind", "gaussian")
     keys = set(spec) - {"kind"}
     try:
@@ -152,7 +158,7 @@ def _build_symbol(spec, n, problems) -> XiSymbol | None:
                                         amplitude=spec.get("amplitude", 1.0)), n)
         if kind == "xi_gaussian":
             return XiOnlySymbol.gaussian(n, spec.get("center"), spec.get("sigma", 1.0))
-    except Exception as exc:
+    except (ValueError, TypeError) as exc:  # SymbolError is a ValueError
         problems.append(f"bad symbol: {exc}")
         return None
     problems.append(f"unknown symbol kind {kind!r}")
@@ -203,6 +209,9 @@ def parse_config(text: str | dict) -> ExperimentConfig:
                 f"(guard {XI_NODE_GUARD:.0e}); set allow_large_grids to override")
 
     window_spec = raw.get("window") or {}
+    if not isinstance(window_spec, dict):
+        problems.append("window must be an object")
+        window_spec = {}
     unknown = set(window_spec) - {"sigma", "center"}
     if unknown:
         problems.append(f"unknown window keys: {sorted(unknown)}")

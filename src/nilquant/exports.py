@@ -57,15 +57,27 @@ def load_matrix(base_path: str) -> OperatorMatrix:
     return OperatorMatrix(grid, data.astype(complex), meta={"scheme": meta.get("scheme")})
 
 
+def _interleaved(values: np.ndarray) -> np.ndarray:
+    """Real array with the real and imaginary parts of each entry side by side."""
+    values = np.asarray(values, dtype=complex)
+    out = np.empty(values.shape[:-1] + (2 * values.shape[-1],))
+    out[..., 0::2] = values.real
+    out[..., 1::2] = values.imag
+    return out
+
+
+def _row_template(cells: int) -> str:
+    """printf template of one CSV row of `cells` numbers, as f"{x:.17g}" writes them."""
+    return ",".join(["%.17g"] * cells)
+
+
 def matrix_to_csv(op: OperatorMatrix, path: str):
     """Row-major CSV; each matrix entry contributes a "re,im" pair of cells."""
-    m = op.kernel
+    cells = _interleaved(op.kernel)
+    template = _row_template(cells.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        for row in m:
-            cells = []
-            for v in row:
-                cells.append(f"{v.real:.17g},{v.imag:.17g}")
-            fh.write(",".join(cells) + "\n")
+        for row in cells:
+            fh.write(template % tuple(row.tolist()))
 
 
 def load_matrix_csv(path: str, grid: Grid) -> OperatorMatrix:
@@ -83,23 +95,24 @@ def field_to_csv(samples: np.ndarray, grid: Grid, path: str):
     vals = np.asarray(samples, dtype=complex).reshape(-1)
     if len(vals) != len(nodes):
         raise ValueError("sample count does not match the grid")
+    rows = np.concatenate([nodes, _interleaved(vals[:, None])], axis=1)
+    template = _row_template(rows.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        for node, v in zip(nodes, vals):
-            coords = ",".join(f"{c:.17g}" for c in node)
-            fh.write(f"{coords},{v.real:.17g},{v.imag:.17g}\n")
+        for row in rows:
+            fh.write(template % tuple(row.tolist()))
 
 
 def xi_field_to_csv(values: np.ndarray, xi_grid: XiGrid, path: str):
     """CSV rows: z coordinates, zeta coordinates, re, im."""
     z_nodes, zeta_nodes = xi_grid.node_pairs()
-    vals = np.asarray(values, dtype=complex)
+    cells = _interleaved(values)
+    z_strs = [_row_template(z_nodes.shape[1]) % tuple(z) for z in z_nodes.tolist()]
+    zeta_template = _row_template(zeta_nodes.shape[1])
+    # the tail of each line after its z coordinates, with the value left open
+    tails = [f",{zeta_template % tuple(zeta)},%.17g,%.17g\n" for zeta in zeta_nodes.tolist()]
     with open(path, "w", encoding="utf-8") as fh:
-        for i, z in enumerate(z_nodes):
-            for j, zeta in enumerate(zeta_nodes):
-                coords = ",".join(f"{c:.17g}" for c in z)
-                dcoords = ",".join(f"{c:.17g}" for c in zeta)
-                v = vals[i, j]
-                fh.write(f"{coords},{dcoords},{v.real:.17g},{v.imag:.17g}\n")
+        for z_str, row in zip(z_strs, cells):
+            fh.write("".join(z_str + tail for tail in tails) % tuple(row.tolist()))
 
 
 def write_json(obj: dict, path: str):

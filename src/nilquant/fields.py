@@ -94,22 +94,6 @@ def gridded_field(grid: Grid, samples: np.ndarray, domain: str = DOMAIN_GROUP) -
     return Field(lambda p: interp(p), grid.n, domain, interpolated=True)
 
 
-class XiField:
-    """Function on the phase space Xi = G x g#; fn(z, zeta) broadcasts."""
-
-    def __init__(self, fn: Callable, n: int, interpolated: bool = False):
-        self.fn = fn
-        self.n = n
-        self.interpolated = interpolated
-
-    def __call__(self, z, zeta) -> np.ndarray:
-        z = np.asarray(z, dtype=float)
-        zeta = np.asarray(zeta, dtype=float)
-        if z.shape[-1] != self.n or zeta.shape[-1] != self.n:
-            raise DomainError("phase-space point dimension mismatch")
-        return np.asarray(self.fn(z, zeta))
-
-
 @dataclass
 class XiSamples:
     """Samples of a phase-space function on a XiGrid, indexed [i_z, i_zeta]."""
@@ -142,7 +126,7 @@ class XiSamples:
 
 
 def sample_xi(fn, xi_grid: XiGrid) -> XiSamples:
-    """Evaluate a XiField (or symbol) on all node pairs of a XiGrid."""
+    """Evaluate fn(z, zeta), e.g. a symbol, on all node pairs of a XiGrid."""
     z, zeta = xi_grid.node_pairs()
     vals = fn(z[:, None, :], zeta[None, :, :])
     return XiSamples(xi_grid, np.asarray(vals, dtype=complex))

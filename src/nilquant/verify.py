@@ -726,7 +726,6 @@ def suite_convergence(seed: int = 12, tol_scale: float = 1.0) -> list[CheckResul
         cfg = BerezinConfig(alg, w, grid, xi, sym)
         op = berezin_matrix(cfg)
         tr_res = abs(op.trace() - symbol_integral(cfg)) / abs(symbol_integral(cfg))
-        one = XOnlySymbol(Field(lambda p: np.ones(p.shape[:-1]), 1), 1)
         m = multiplier_field(alg, w, Field(lambda p: np.ones(p.shape[:-1]), 1), xi.g_grid)
         uv = u(grid.nodes())
         id_res = float(np.linalg.norm(m(grid.nodes()) * uv - uv) / np.linalg.norm(uv))

@@ -215,6 +215,44 @@ def test_cli_config_error_exit_code(tmp_path):
     assert main(["quantize", "--config", str(bad)]) == 2
 
 
+@pytest.mark.parametrize("spec, problem", [
+    ({"grid": {"half_width": "wide", "count": 32}}, "bad grid"),
+    ({"grid": {"half_width": None}}, "bad grid"),
+    ({"grid": {"count": [8, 8]}}, "bad grid"),
+    ({"grid": [8.0, 32]}, "grid must be an object"),
+    ({"xi_grid": {"g": {"half_width": -1.0}}}, "bad xi_grid.g"),
+    ({"symbol": {"kind": "gaussian", "amplitude": "big"}}, "bad symbol"),
+    ({"symbol": {"kind": "gaussian", "x_sigma": [1.0, 2.0]}}, "bad symbol"),
+    ({"symbol": {"kind": "delta", "mass": [1.0]}}, "bad symbol"),
+    ({"symbol": "gaussian"}, "symbol must be an object"),
+    ({"window": [1.0]}, "window must be an object"),
+])
+def test_parse_reports_bad_specs(spec, problem):
+    with pytest.raises(ConfigError, match=problem):
+        parse_config({**SMALL, **spec})
+
+
+def test_cli_bad_inputs_exit_2(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    bad_grid = tmp_path / "bad_grid.json"
+    bad_grid.write_text(json.dumps({**SMALL, "grid": {"half_width": "wide"}}))
+    missing = str(tmp_path / "missing.json")
+    assert main(["algebra", "validate", "--config", str(bad)]) == 2
+    assert main(["algebra", "validate", "--config", missing]) == 2
+    assert main(["algebra", "validate", "--preset", "abelian:x"]) == 2
+    assert main(["quantize", "--config", str(bad_grid), "--out", str(tmp_path / "q")]) == 2
+    assert main(["quantize", "--config", missing]) == 2
+    assert main(["verify", "--config", missing]) == 2
+    csv_out = str(tmp_path / "out.csv")
+    assert main(["export", "--matrix", str(tmp_path / "none"), "--csv", csv_out]) == 2
+    (tmp_path / "m.bin").write_bytes(b"")
+    for sidecar in ("{not json", "{}", "[]"):  # bad JSON, no shape, not an object
+        (tmp_path / "m.json").write_text(sidecar)
+        assert main(["export", "--matrix", str(tmp_path / "m"), "--csv", csv_out]) == 2
+    assert not os.path.exists(csv_out)
+
+
 def test_report_determinism():
     a = run_suites("weyl", seed=5)
     b = run_suites("weyl", seed=5)
