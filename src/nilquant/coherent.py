@@ -21,9 +21,15 @@ Bargmann transform is B u = FW[u, omega], and B* B = Id gives the inversion
 formula; the range of B B* is the reproducing-kernel space with kernel
 p(X, Z) = <omega_X, omega_Z>.
 
-Two evaluation routes are kept for FW: a fast one that factors the y-integral
-through a shared phase matrix (one matrix product per transform), and a
-literal per-node quadrature; they must agree to reassociation error.
+FW on a XiGrid and B* integrate against the dual-side phase
+exp(+-i <y | zeta>) over a dual grid.  That grid is a tensor product, so the
+phase is applied axis by axis: `transforms.dual_phase_grid` for FW, whose
+y nodes form a grid as well, and `transforms.dual_phase_points` for B*, whose
+points z x do not.  Neither builds a dense points x |dual| phase matrix
+(`coherent_state_bank`, which returns every coherent state at every target,
+still does).  Two evaluation routes are kept for FW: the factored one
+(change of variables, then the separable phase) and a literal per-node
+quadrature; they must agree to reassociation error.
 """
 
 from __future__ import annotations
@@ -37,9 +43,7 @@ import numpy as np
 from .algebra import LieAlgebra
 from .fields import Field, XiSamples, gaussian
 from .grids import Grid, XiGrid
-from .transforms import inner, l2_norm
-
-_PHASE_CACHE: dict = {}
+from .transforms import dual_phase_grid, dual_phase_points, inner, l2_norm
 
 
 class NyquistWarning(UserWarning):
@@ -54,16 +58,6 @@ def _warn_past_nyquist(g_grid: Grid, dual_grid: Grid):
             warnings.warn(f"dual half-width {half:g} on axis {axis} exceeds the Nyquist "
                           f"band pi/h = {band:.4g} of the group grid; the phases alias",
                           NyquistWarning, stacklevel=3)
-
-
-def _phase_matrix(g_grid: Grid, dual_grid: Grid) -> np.ndarray:
-    """exp(i <y | zeta>) for y in g_grid, zeta in dual_grid; cached."""
-    key = (g_grid, dual_grid)
-    out = _PHASE_CACHE.get(key)
-    if out is None:
-        out = np.exp(1j * (g_grid.nodes() @ dual_grid.nodes().T))
-        _PHASE_CACHE[key] = out
-    return out
 
 
 @dataclass(frozen=True)
@@ -164,8 +158,9 @@ def fourier_wigner(alg: LieAlgebra, u: Field, v: Field, g_grid: Grid,
                    xi_grid: XiGrid, method: str = "factored") -> XiSamples:
     """FW[u, v] sampled on a XiGrid; y-quadrature over `g_grid`.
 
-    "factored" evaluates the change of variables u(z^{-1}y) conj(v(y)) and
-    applies the partial Fourier phase matrix in one matrix product.
+    "factored" evaluates the change of variables u(z^{-1}y) conj(v(y)) on
+    every (z, y) pair and applies the partial Fourier phase exp(i <y|zeta>)
+    axis by axis (`dual_phase_grid`, one small cached factor per axis).
     "direct" is the literal per-node quadrature (slow; cross-check route).
     Warns (`NyquistWarning`) when the dual box of `xi_grid` is past the
     Nyquist band pi/h of `g_grid` on some axis.
@@ -176,8 +171,7 @@ def fourier_wigner(alg: LieAlgebra, u: Field, v: Field, g_grid: Grid,
     if method == "factored":
         shifted = alg.bch(alg.inv(z_nodes)[:, None, :], y[None, :, :])
         g_zy = u(shifted) * np.conjugate(v(y))[None, :]
-        E = _phase_matrix(g_grid, xi_grid.dual_grid)
-        vals = g_grid.weight * (g_zy @ E)
+        vals = g_grid.weight * dual_phase_grid(g_zy, g_grid, xi_grid.dual_grid, 1)
         return XiSamples(xi_grid, vals)
     if method == "direct":
         vals = np.empty((len(z_nodes), len(zeta_nodes)), dtype=complex)
@@ -247,17 +241,18 @@ def bargmann(alg: LieAlgebra, w: Window, u: Field, xi_grid: XiGrid,
 def bargmann_adjoint(alg: LieAlgebra, w: Window, h: XiSamples, targets) -> np.ndarray:
     """(B_omega)* h = integral h(z,zeta) omega_{z,zeta} d(z,zeta) at `targets`.
 
+    The zeta-sum at each z node is applied axis by axis at the points z x
+    (`dual_phase_points`); no targets x |dual| phase matrix is built.
     Warns (`NyquistWarning`) when h's dual box is past the Nyquist band of
     the window's grid, the y-grid `bargmann` uses by default.
     """
-    _warn_past_nyquist(w.grid, h.xi_grid.dual_grid)
+    dual_grid = h.xi_grid.dual_grid
+    _warn_past_nyquist(w.grid, dual_grid)
     targets = np.asarray(targets, float)
-    z_nodes, zeta_nodes = h.xi_grid.node_pairs()
     acc = np.zeros(len(targets), dtype=complex)
-    for i, z in enumerate(z_nodes):
+    for i, z in enumerate(h.xi_grid.g_grid.nodes()):
         zx = alg.bch(z, targets)
-        phases = np.exp(-1j * (zx @ zeta_nodes.T))
-        acc += w(zx) * (phases @ h.values[i, :])
+        acc += w(zx) * dual_phase_points(h.values[i, :], zx, dual_grid, -1)
     return h.xi_grid.weight * acc
 
 

@@ -90,8 +90,12 @@ def _build_algebra(spec, problems) -> LieAlgebra | None:
     if step > MAX_BCH_DEPTH:
         problems.append(f"step {step} exceeds the supported BCH depth {MAX_BCH_DEPTH}")
         return None
+    brackets = spec.get("brackets", [])
+    if not isinstance(brackets, list):
+        problems.append("group 'brackets' must be a list of [i, j, k, value] entries")
+        return None
     c = np.zeros((dim, dim, dim))
-    for entry in spec.get("brackets", []):
+    for entry in brackets:
         try:
             i, j, k, val = entry
             c[int(i) - 1, int(j) - 1, int(k) - 1] = float(val)

@@ -22,7 +22,10 @@ class GridError(ValueError):
 def _as_tuple(value, n, kind) -> tuple:
     if np.isscalar(value):
         value = [value] * n
-    out = tuple(kind(v) for v in value)
+    try:
+        out = tuple(kind(v) for v in value)
+    except (OverflowError, ValueError):  # int(inf), int(nan), float("wide")
+        raise GridError(f"per-axis values must be finite numbers, got {value!r}") from None
     if len(out) != n:
         raise GridError(f"expected {n} per-axis values, got {len(out)}")
     return out
@@ -44,8 +47,9 @@ class Grid:
         n = len(self.half_width)
         object.__setattr__(self, "half_width", _as_tuple(self.half_width, n, float))
         object.__setattr__(self, "counts", _as_tuple(self.counts, n, int))
-        if any(L <= 0 for L in self.half_width) or any(N <= 0 for N in self.counts):
-            raise GridError("half widths and counts must be positive")
+        if (any(not (math.isfinite(L) and L > 0) for L in self.half_width)
+                or any(N <= 0 for N in self.counts)):
+            raise GridError("half widths must be finite and positive, counts positive")
 
     @classmethod
     def box(cls, n: int, half_width, count, dual: bool = False) -> "Grid":

@@ -36,10 +36,11 @@ import numpy as np
 
 from .algebra import LieAlgebra
 from .berezin import BerezinConfig, assemble_kernel, berezin_matrix
-from .coherent import PhasePoint, Window, _phase_matrix
+from .coherent import PhasePoint, Window
 from .fields import Field, XiSamples
 from .grids import Grid, XiGrid
 from .operators import OperatorMatrix
+from .transforms import dual_phase_grid
 
 DEFAULT_GL_ORDER = 32
 
@@ -274,8 +275,8 @@ def mag_wigner(alg: LieAlgebra, A: VectorPotential, u: Field, v: Field,
     for i in range(len(z_nodes)):
         circ[i] = circulation(A, y, shifted[i], order)
     g_zy = u(shifted) * np.conjugate(v(y))[None, :] * np.exp(1j * circ)
-    E = _phase_matrix(g_grid, xi_grid.dual_grid)
-    return XiSamples(xi_grid, g_grid.weight * (g_zy @ E))
+    return XiSamples(xi_grid, g_grid.weight * dual_phase_grid(g_zy, g_grid,
+                                                             xi_grid.dual_grid, 1))
 
 
 def mag_berezin(cfg: BerezinConfig, A: VectorPotential,

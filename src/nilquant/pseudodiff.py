@@ -34,6 +34,7 @@ from .fields import Field
 from .grids import Grid
 from .operators import OperatorMatrix
 from .symbols import PhaseSymbol, SymbolError, XOnlySymbol, XiSymbol
+from .transforms import dual_phase_points
 
 KERNEL_GUARD = 4_000_000
 
@@ -96,21 +97,22 @@ def op_quantize(alg: LieAlgebra, symbol: XiSymbol, grid: Grid,
         K = np.empty((len(x), len(x)), dtype=complex)
         for i in range(len(x)):
             avals = symbol(np.broadcast_to(x[i], zeta.shape), zeta)
-            K[i] = dual_grid.weight * (np.exp(1j * (V[i] @ zeta.T)) @ avals)
+            K[i] = dual_grid.weight * dual_phase_points(avals, V[i], dual_grid, 1)
     return OperatorMatrix(grid, np.asarray(K, dtype=complex))
 
 
 def op_quantize_samples(alg: LieAlgebra, a_samples: np.ndarray, grid: Grid,
                         dual_grid: Grid) -> OperatorMatrix:
-    """Op(a) from symbol samples a[x_i, zeta_j] on grid x dual_grid."""
+    """Op(a) from symbol samples a[x_i, zeta_j] on grid x dual_grid; each
+    kernel row is the zeta-sum of row i against exp(i <log(x_i y^-1) | zeta>),
+    applied axis by axis (`dual_phase_points`)."""
     if not dual_grid.dual:
         dual_grid = dual_grid.as_dual()
     x = grid.nodes()
-    zeta = dual_grid.nodes()
     V = alg.bch(x[:, None, :], -x[None, :, :])
     K = np.empty((len(x), len(x)), dtype=complex)
     for i in range(len(x)):
-        K[i] = dual_grid.weight * (np.exp(1j * (V[i] @ zeta.T)) @ a_samples[i])
+        K[i] = dual_grid.weight * dual_phase_points(a_samples[i], V[i], dual_grid, 1)
     return OperatorMatrix(grid, K)
 
 

@@ -76,9 +76,12 @@ class GaussianFactor:
     @classmethod
     def make(cls, n, center=None, sigma=1.0, phase=None) -> "GaussianFactor":
         sig = _vec(sigma, n)
+        center, phase = _vec(center, n), _vec(phase, n)
+        if not all(np.all(np.isfinite(v)) for v in (center, sig, phase)):
+            raise SymbolError("Gaussian centers, widths and phases must be finite")
         if np.any(sig <= 0):
             raise SymbolError("Gaussian widths must be positive")
-        return cls(_vec(center, n), sig, _vec(phase, n))
+        return cls(center, sig, phase)
 
     @property
     def n(self) -> int:
@@ -137,7 +140,12 @@ class GaussianSymbol(XiSymbol):
     @classmethod
     def make(cls, n, amplitude=1.0, x_center=None, x_sigma=1.0, x_phase=None,
              xi_center=None, xi_sigma=1.0, xi_phase=None) -> "GaussianSymbol":
-        return cls(complex(amplitude),
+        """Raises `SymbolError` for a non-finite amplitude, center, width or
+        phase, or a width that is not positive."""
+        amplitude = complex(amplitude)
+        if not np.isfinite(amplitude):
+            raise SymbolError(f"Gaussian symbol amplitude must be finite, got {amplitude}")
+        return cls(amplitude,
                    GaussianFactor.make(n, x_center, x_sigma, x_phase),
                    GaussianFactor.make(n, xi_center, xi_sigma, xi_phase))
 

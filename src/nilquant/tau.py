@@ -136,7 +136,12 @@ def coherent_tau(alg: LieAlgebra, tau: TauMap, w: Window, p: PhasePoint) -> Fiel
 def wigner_tau(alg: LieAlgebra, tau: TauMap, u: Field, v: Field, g_grid: Grid,
                xi_grid: XiGrid) -> XiSamples:
     """<W_tau(z, zeta) u, v> on a XiGrid; the modulation base point now depends
-    on z, so the phase matrix is built per z node."""
+    on z, so the phase matrix is built per z node.
+
+    It stays a dense exp: the phase points log(tau(z)^{-1} y) are the y grid
+    moved by a group product, not a tensor grid, so the axis-by-axis
+    `transforms.dual_phase_grid` does not apply, and the sum runs over those
+    points rather than over dual nodes as in `dual_phase_points`."""
     from .coherent import fourier_wigner
 
     if tau.is_trivial:

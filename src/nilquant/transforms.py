@@ -15,9 +15,21 @@ and `script_fourier_inv` are the named aliases used at call sites.
 
 Quadrature is the midpoint rule: deterministic node order, numpy pairwise
 summation.
+
+Dual-side phases.  Every grid is a tensor product, so the phase against a
+dual grid factors axis by axis,
+
+    exp(s i <x | zeta>) = prod_k exp(s i x_k zeta_k),    s = +1 or -1,
+
+and the sums the Bargmann maps and the quantizers need are applied one axis
+at a time through small (points or nodes) x D_k factor matrices instead of
+a dense (points x |dual|) phase matrix: `dual_phase_points` at arbitrary
+points, `dual_phase_grid` between two tensor grids.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -83,6 +95,49 @@ def inverse_fourier(w: Field, dual_grid: Grid) -> Field:
         return (phases @ samples).reshape(x.shape[:-1])
 
     return Field(fn, dual_grid.n, DOMAIN_GROUP, interpolated=w.interpolated)
+
+
+def dual_phase_points(h: np.ndarray, x: np.ndarray, dual_grid: Grid,
+                      sign: int) -> np.ndarray:
+    """sum_zeta h[zeta] exp(sign i <x | zeta>) at points x of shape (P, n).
+
+    `h` holds one value per node of `dual_grid` in its C node order.  One
+    matrix product contracts the last axis; every other axis is one
+    multiply-and-sum against its (D_k, P) factor, so no P x |dual| matrix is
+    formed.
+    """
+    x = np.asarray(x, float)
+    axes = dual_grid.axes()
+    T = np.reshape(h, (-1, len(axes[-1]))) @ np.exp((sign * 1j) * np.outer(axes[-1], x[:, -1]))
+    for k in range(dual_grid.n - 2, -1, -1):
+        factor = np.exp((sign * 1j) * np.outer(axes[k], x[:, k]))
+        T = np.sum(T.reshape(-1, len(axes[k]), len(x)) * factor, axis=1)
+    return T.reshape(len(x))
+
+
+@lru_cache(maxsize=32)
+def _axis_phase_factors(y_grid: Grid, dual_grid: Grid, sign: int) -> tuple:
+    """Read-only (N_k, D_k) factors exp(sign i y_k zeta_k), one per axis."""
+    factors = []
+    for y, zeta in zip(y_grid.axes(), dual_grid.axes()):
+        f = np.exp((sign * 1j) * np.outer(y, zeta))
+        f.setflags(write=False)
+        factors.append(f)
+    return tuple(factors)
+
+
+def dual_phase_grid(g: np.ndarray, y_grid: Grid, dual_grid: Grid, sign: int) -> np.ndarray:
+    """sum_y g[b, y] exp(sign i <y | zeta>) for every node zeta of `dual_grid`.
+
+    `g` has shape (B, |y_grid|) in C node order; the result has shape
+    (B, |dual_grid|).  One tensordot per axis against its cached (N_k, D_k)
+    factor; each contracts the leading remaining y axis and appends its dual
+    axis, so the dual axes come out in C order.
+    """
+    T = np.reshape(g, (len(g),) + y_grid.counts)
+    for factor in _axis_phase_factors(y_grid, dual_grid, sign):
+        T = np.tensordot(T, factor, axes=([1], [0]))
+    return T.reshape(len(g), dual_grid.size)
 
 
 # The exponential chart is the identity on coordinates, so the group-side

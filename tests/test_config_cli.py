@@ -226,6 +226,14 @@ def test_cli_config_error_exit_code(tmp_path):
     ({"symbol": {"kind": "delta", "mass": [1.0]}}, "bad symbol"),
     ({"symbol": "gaussian"}, "symbol must be an object"),
     ({"window": [1.0]}, "window must be an object"),
+    ({"group": {"dim": 2, "step": 1, "brackets": 5}}, "'brackets' must be a list"),
+    ({"grid": {"half_width": float("nan"), "count": 32}}, "bad grid"),
+    ({"grid": {"half_width": float("inf"), "count": 32}}, "bad grid"),
+    ({"grid": {"half_width": 8.0, "count": float("inf")}}, "bad grid"),
+    ({"xi_grid": {"dual": {"half_width": float("nan")}}}, "bad xi_grid.dual"),
+    ({"symbol": {"kind": "gaussian", "amplitude": float("nan")}}, "bad symbol"),
+    ({"symbol": {"kind": "gaussian", "xi_sigma": float("inf")}}, "bad symbol"),
+    ({"symbol": {"kind": "gaussian", "x_center": [float("nan")]}}, "bad symbol"),
 ])
 def test_parse_reports_bad_specs(spec, problem):
     with pytest.raises(ConfigError, match=problem):
@@ -251,6 +259,20 @@ def test_cli_bad_inputs_exit_2(tmp_path):
         (tmp_path / "m.json").write_text(sidecar)
         assert main(["export", "--matrix", str(tmp_path / "m"), "--csv", csv_out]) == 2
     assert not os.path.exists(csv_out)
+
+
+@pytest.mark.parametrize("spec", [
+    {"group": {"dim": 2, "step": 1, "brackets": 5}},
+    {"grid": {"half_width": float("nan"), "count": 32}},
+    {"xi_grid": {"g": {"half_width": float("inf")}}},
+    {"symbol": {"kind": "gaussian", "amplitude": float("nan")}},
+])
+def test_cli_bad_brackets_and_non_finite_values_exit_2(tmp_path, spec):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**SMALL, **spec}))  # NaN / Infinity literals
+    assert main(["quantize", "--config", str(path), "--out", str(tmp_path / "q")]) == 2
+    assert main(["verify", "--config", str(path)]) == 2
+    assert not (tmp_path / "q").exists()
 
 
 def test_report_determinism():

@@ -35,6 +35,11 @@ def test_grid_validation():
         Grid.box(1, -1.0, 10)
     with pytest.raises(GridError):
         XiGrid(Grid.box(1, 1.0, 4), Grid.box(1, 1.0, 4))  # dual flag missing
+    for bad in (math.nan, math.inf):
+        with pytest.raises(GridError):
+            Grid.box(2, (1.0, bad), 4)
+        with pytest.raises(GridError):
+            Grid.box(1, 1.0, bad)
 
 
 def test_integrate_constant_box():

@@ -149,3 +149,11 @@ def test_x_only_symbol_has_no_transform():
     x = np.zeros((3, 1))
     xi = np.ones((3, 1))
     assert np.allclose(sym(x, xi), 1.0)
+
+
+@pytest.mark.parametrize("param", ["amplitude", "x_center", "x_sigma", "x_phase",
+                                   "xi_center", "xi_sigma", "xi_phase"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_gaussian_symbol_rejects_non_finite(param, bad):
+    with pytest.raises(SymbolError):
+        GaussianSymbol.make(2, **{param: bad})
