@@ -21,9 +21,11 @@ For fixed z and nonnegative f the (x, y) matrix of the integrand is positive
 semidefinite, hence the assembled kernel is PSD up to roundoff whenever
 f >= 0 — positivity is inherited structurally, not by tolerance.
 
-Point masses map straight to projectors, and symbols constant in the dual
-variable map to multiplication operators; neither is pushed through a sampled
-delta.
+The tau-ordered and magnetic quantizations use the same assembly with their
+Weyl system's phase points in place of log(zx) and its dressing on the
+window (`berezin_quantize`; `coherent.WeylSystem`).  Point masses map
+straight to projectors, and symbols constant in the dual variable map to
+multiplication operators; neither is pushed through a sampled delta.
 """
 
 from __future__ import annotations
@@ -34,8 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import LieAlgebra
-from .coherent import Window, PhasePoint, bargmann, coherent_state, fourier_wigner, \
-    fourier_wigner_at, projector
+from .coherent import Window, PhasePoint, WeylSystem, bargmann, coherent_state, \
+    fourier_wigner, fourier_wigner_at
 from .fields import Field, sample_xi
 from .grids import Grid, XiGrid
 from .operators import OperatorMatrix
@@ -128,22 +130,30 @@ def assemble_kernel(symbol: XiSymbol, z_nodes: np.ndarray, z_weight: float,
     return K
 
 
-def _window_row_data(alg: LieAlgebra, window: Window, targets: np.ndarray):
+def _kernel_row(system: WeylSystem, window: Window, targets: np.ndarray):
+    """row(z) -> (P(z, zx), omega(zx) conj(G(zx, x))) at the targets x: the
+    phase points and dressed window values of the coherent states omega_z."""
+    alg = system.alg
+
     def row(z):
         zx = alg.bch(z, targets)
-        return zx, window(zx)
+        g = window(zx)
+        if system.dressed:
+            g = g * np.exp(-1j * system.dressing(zx, targets))
+        return system.phase_points(z, zx), g
     return row
 
 
 def berezin_kernel_points(cfg: BerezinConfig, x_points, y_points=None,
                           z_quadrature=None) -> np.ndarray:
     """Kernel of Ber(f) at arbitrary analytic points (no interpolation)."""
+    plain = WeylSystem(cfg.algebra)
     x_points = np.asarray(x_points, float)
     z_nodes, z_w = z_quadrature or cfg.z_quadrature()
-    row = _window_row_data(cfg.algebra, cfg.window, x_points)
+    row = _kernel_row(plain, cfg.window, x_points)
     col = None
     if y_points is not None and y_points is not x_points:
-        col = _window_row_data(cfg.algebra, cfg.window, np.asarray(y_points, float))
+        col = _kernel_row(plain, cfg.window, np.asarray(y_points, float))
     return assemble_kernel(cfg.symbol, z_nodes, z_w, row, col)
 
 
@@ -163,30 +173,42 @@ def multiplier_field(alg: LieAlgebra, window: Window, phi: Field,
     return Field(fn, alg.dim)
 
 
-def berezin_matrix(cfg: BerezinConfig, z_quadrature=None) -> OperatorMatrix:
-    """Ber(f) as kernel samples on cfg.g_grid.
+def berezin_quantize(cfg: BerezinConfig, system: WeylSystem,
+                     z_quadrature=None) -> OperatorMatrix:
+    """Ber(f) of a Weyl system, as kernel samples on cfg.g_grid.
 
-    Special paths: a point-mass symbol returns the rank-one projector at its
-    point; a symbol constant in the dual variable returns the multiplication
-    operator by its Berezin multiplier.
+    The kernel integrand is hat2(z, P(z,zx) - P(z,zy)) g(z,x) conj(g(z,y))
+    with g(z, x) = omega(zx) conj(G(zx, x)); for f >= 0 it stays a positive
+    combination of rank-one projectors.  Special paths, the same for every
+    system: a point mass returns the rank-one projector onto the system's
+    coherent state at its point; a symbol constant in the dual variable
+    returns the multiplication operator by its Berezin multiplier (the point
+    mass in the fibre transform pins x = y, where the phases and dressings
+    cancel); the pure Weyl phase is rejected.
     """
-    if isinstance(cfg.symbol, DeltaSymbol):
-        p = PhasePoint(cfg.symbol.z, cfg.symbol.zeta)
-        op = projector(cfg.algebra, cfg.window, p)
-        op.kernel = op.kernel * cfg.symbol.mass
+    symbol = cfg.symbol
+    if isinstance(symbol, DeltaSymbol):
+        p = PhasePoint(symbol.z, symbol.zeta)
+        op = OperatorMatrix.rank_one(cfg.g_grid, system.adjoint_shift(p, cfg.window.field))
+        op.kernel = op.kernel * symbol.mass
         op.meta["delta_symbol"] = True
         return op
-    if isinstance(cfg.symbol, XOnlySymbol):
-        m = multiplier_field(cfg.algebra, cfg.window, cfg.symbol.phi, cfg.xi_grid.g_grid)
+    if isinstance(symbol, XOnlySymbol):
+        m = multiplier_field(cfg.algebra, cfg.window, symbol.phi, cfg.xi_grid.g_grid)
         vals = m(cfg.g_grid.nodes())
-        op = OperatorMatrix(cfg.g_grid, np.diag(vals) / cfg.g_grid.weight,
-                            meta={"multiplication": True})
-        return op
-    if isinstance(cfg.symbol, PhaseSymbol):
+        return OperatorMatrix(cfg.g_grid, np.diag(vals) / cfg.g_grid.weight,
+                              meta={"multiplication": True})
+    if isinstance(symbol, PhaseSymbol):
         raise SymbolError("the pure Weyl phase is not Berezin-quantizable on a grid; "
                           "use the pseudo-differential quantizer")
-    kernel = berezin_kernel_points(cfg, cfg.g_grid.nodes(), None, z_quadrature)
-    return OperatorMatrix(cfg.g_grid, kernel)
+    z_nodes, z_w = z_quadrature or cfg.z_quadrature()
+    row = _kernel_row(system, cfg.window, cfg.g_grid.nodes())
+    return OperatorMatrix(cfg.g_grid, assemble_kernel(symbol, z_nodes, z_w, row))
+
+
+def berezin_matrix(cfg: BerezinConfig, z_quadrature=None) -> OperatorMatrix:
+    """Ber(f) of the plain Weyl system (`berezin_quantize`)."""
+    return berezin_quantize(cfg, WeylSystem(cfg.algebra), z_quadrature)
 
 
 def conv_example_kernel(cfg: BerezinConfig, psi: Field, z_quadrature=None) -> OperatorMatrix:

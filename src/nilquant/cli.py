@@ -25,16 +25,17 @@ import sys
 import numpy as np
 
 from .algebra import AlgebraError, preset, validate_algebra
-from .berezin import BerezinConfig, berezin_matrix
+from .berezin import BerezinConfig, berezin_quantize
+from .coherent import WeylSystem
 from .config import ConfigError, ExperimentConfig, load_config, parse_config
 from .exports import (field_to_csv, load_matrix, matrix_to_csv, save_matrix,
                       write_json, xi_field_to_csv)
 from .fields import random_gaussian, sample_xi
-from .magnetic import mag_berezin, potential_preset
+from .magnetic import magnetic_system, potential_preset
 from .operators import schatten_norm
 from .pseudodiff import WeylOperator, op_quantize
 from .symbols import SymbolError
-from .tau import berezin_tau, resolve_tau
+from .tau import resolve_tau, tau_system
 from .transforms import l2_norm
 from .verify import run_suites
 
@@ -63,18 +64,23 @@ def cmd_algebra_validate(args) -> int:
     return EXIT_OK if rep.passed else EXIT_FAIL
 
 
-def _build_operator(cfg: ExperimentConfig):
-    bcfg = BerezinConfig(cfg.algebra, cfg.window, cfg.g_grid, cfg.xi_grid, cfg.symbol)
-    if cfg.scheme == "berezin":
-        return berezin_matrix(bcfg)
+def _weyl_system(cfg: ExperimentConfig) -> WeylSystem:
+    """The Weyl system behind a Berezin scheme."""
     if cfg.scheme == "tau":
-        return berezin_tau(bcfg, resolve_tau(cfg.algebra, cfg.tau_name))
+        return tau_system(cfg.algebra, resolve_tau(cfg.algebra, cfg.tau_name))
     if cfg.scheme == "magnetic":
-        A = potential_preset(cfg.potential_name, cfg.algebra.dim)
-        return mag_berezin(bcfg, A)
+        return magnetic_system(cfg.algebra,
+                               potential_preset(cfg.potential_name, cfg.algebra.dim))
+    if cfg.scheme == "berezin":
+        return WeylSystem(cfg.algebra)
+    raise ValueError(f"unknown scheme {cfg.scheme!r}")
+
+
+def _build_operator(cfg: ExperimentConfig):
     if cfg.scheme == "op":
         return op_quantize(cfg.algebra, cfg.symbol, cfg.g_grid, cfg.xi_grid.dual_grid)
-    raise ValueError(f"unknown scheme {cfg.scheme!r}")
+    bcfg = BerezinConfig(cfg.algebra, cfg.window, cfg.g_grid, cfg.xi_grid, cfg.symbol)
+    return berezin_quantize(bcfg, _weyl_system(cfg))
 
 
 def cmd_quantize(args) -> int:

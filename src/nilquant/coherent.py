@@ -15,7 +15,12 @@ Composition picks up a multiplier that genuinely depends on the base point,
     W(z,zeta) W(y,eta) = Mult(gamma) W(zy, zeta+eta),
     gamma(x) = exp(-i <log x - log(z^{-1} x) | eta>),
 
-so the family is not a projective representation.  Coherent states are
+so the family is not a projective representation.  The tau-ordered and
+magnetic systems keep the form e^{i<P(z,x)|zeta>} G(x, z^{-1}x) u(z^{-1}x)
+and change only the phase points P and the unit dressing G; `WeylSystem`
+holds those two hooks, and the shift, the coherent states and the
+Fourier-Wigner route below are written once for all three kinds.  Coherent
+states are
 adjoint shifts of a normalized window, omega_{z,zeta} = W(z,zeta)* omega, the
 Bargmann transform is B u = FW[u, omega], and B* B = Id gives the inversion
 formula; the range of B B* is the reproducing-kernel space with kernel
@@ -51,13 +56,13 @@ class NyquistWarning(UserWarning):
     nodes carry the phases exp(i <y | zeta>); those phases alias there."""
 
 
-def _warn_past_nyquist(g_grid: Grid, dual_grid: Grid):
+def _warn_past_nyquist(g_grid: Grid, dual_grid: Grid, stacklevel: int = 3):
     for axis, (half, h) in enumerate(zip(dual_grid.half_width, g_grid.spacing)):
         band = math.pi / h
         if half > band:
             warnings.warn(f"dual half-width {half:g} on axis {axis} exceeds the Nyquist "
                           f"band pi/h = {band:.4g} of the group grid; the phases alias",
-                          NyquistWarning, stacklevel=3)
+                          NyquistWarning, stacklevel=stacklevel)
 
 
 @dataclass(frozen=True)
@@ -115,27 +120,101 @@ def make_window(alg: LieAlgebra, grid: Grid, sigma: float = 1.0, center=None) ->
 # Weyl system
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class WeylSystem:
+    """The plain Weyl system W(z, zeta) = M_zeta L_z of a group.
+
+    Every Weyl system here has the form
+
+        [W(z,zeta) u](x) = e^{i <P(z, x) | zeta>} G(x, z^{-1} x) u(z^{-1} x),
+
+    and the kinds differ only in the phase points P and the unit dressing
+    G = e^{i theta}.  The plain system has P(z, y) = y and G = 1;
+    `tau.TauWeylSystem` moves the points (`moves_points`) and
+    `magnetic.MagneticWeylSystem` dresses them (`dressed`).  The shift, the
+    coherent states, the Fourier-Wigner route and the Berezin kernel row
+    (`berezin.berezin_quantize`) are written once against these two hooks.
+    """
+
+    alg: LieAlgebra
+    moves_points = False
+    dressed = False
+
+    def phase_points(self, z, y):
+        """P(z, y): where the modulation phase of the shift by z is taken."""
+        return y
+
+    def dressing(self, y, back):
+        """theta with G(y, z^{-1} y) = e^{i theta}, given y and back = z^{-1} y;
+        only called when `dressed`."""
+        raise NotImplementedError
+
+    def shift(self, p: PhasePoint, u: Field) -> Field:
+        """W(z,zeta) u; exact on analytic fields, unitary in quadrature norm."""
+        alg, z, zeta = self.alg, p.zv, p.zetav
+        zinv = alg.inv(z)
+
+        def fn(x):
+            back = alg.bch(zinv, x)
+            out = np.exp(1j * np.einsum("...i,i->...", self.phase_points(z, x), zeta)) * u(back)
+            if self.dressed:
+                out = out * np.exp(1j * self.dressing(x, back))
+            return out
+
+        return Field(fn, alg.dim, u.domain, u.interpolated)
+
+    def adjoint_shift(self, p: PhasePoint, u: Field) -> Field:
+        """W(z,zeta)* u; inverts `shift` pointwise.  On the window it is the
+        coherent state omega_{z,zeta}."""
+        alg, z, zeta = self.alg, p.zv, p.zetav
+
+        def fn(y):
+            zy = alg.bch(z, y)
+            out = np.exp(-1j * np.einsum("...i,i->...", self.phase_points(z, zy), zeta)) * u(zy)
+            if self.dressed:
+                out = out * np.exp(-1j * self.dressing(zy, y))
+            return out
+
+        return Field(fn, alg.dim, u.domain, u.interpolated)
+
+    def wigner(self, u: Field, v: Field, g_grid: Grid, xi_grid: XiGrid) -> XiSamples:
+        """<W(z, zeta) u, v> sampled on a XiGrid; y-quadrature over `g_grid`.
+
+        The change of variables u(z^{-1}y) conj(v(y)), dressed where the
+        system dresses, is evaluated on every (z, y) pair.  When the phase
+        points are the y grid itself the phase exp(i <y|zeta>) is applied axis
+        by axis (`dual_phase_grid`, one small cached factor per axis); moved
+        points log(tau(z)^{-1} y) form no tensor grid, so they take one dense
+        exp per z node.  Warns (`NyquistWarning`) when the dual box of
+        `xi_grid` is past the Nyquist band pi/h of `g_grid` on some axis.
+        """
+        # stacklevel: reported at the caller of the public delegation
+        _warn_past_nyquist(g_grid, xi_grid.dual_grid, stacklevel=4)
+        z_nodes, zeta_nodes = xi_grid.node_pairs()
+        y = g_grid.nodes()
+        back = self.alg.bch(self.alg.inv(z_nodes)[:, None, :], y[None, :, :])
+        g_zy = u(back) * np.conjugate(v(y))[None, :]
+        if self.dressed:
+            for row, b in zip(g_zy, back):  # one z node at a time bounds the dressing's memory
+                row *= np.exp(1j * self.dressing(y, b))
+        if not self.moves_points:
+            vals = g_grid.weight * dual_phase_grid(g_zy, g_grid, xi_grid.dual_grid, 1)
+            return XiSamples(xi_grid, vals)
+        vals = np.empty((len(z_nodes), len(zeta_nodes)), dtype=complex)
+        for i, z in enumerate(z_nodes):
+            E = np.exp(1j * (self.phase_points(z, y) @ zeta_nodes.T))
+            vals[i] = g_grid.weight * (g_zy[i] @ E)
+        return XiSamples(xi_grid, vals)
+
+
 def weyl(alg: LieAlgebra, p: PhasePoint, u: Field) -> Field:
-    """W(z,zeta) u; exact on analytic fields, unitary in quadrature norm."""
-    zinv = alg.inv(p.zv)
-    zeta = p.zetav
-
-    def fn(x):
-        return np.exp(1j * np.einsum("...i,i->...", x, zeta)) * u(alg.bch(zinv, x))
-
-    return Field(fn, alg.dim, u.domain, u.interpolated)
+    """W(z,zeta) u of the plain system."""
+    return WeylSystem(alg).shift(p, u)
 
 
 def weyl_adjoint(alg: LieAlgebra, p: PhasePoint, u: Field) -> Field:
-    """W(z,zeta)* u; inverts weyl pointwise."""
-    z = p.zv
-    zeta = p.zetav
-
-    def fn(y):
-        zy = alg.bch(z, y)
-        return np.exp(-1j * np.einsum("...i,i->...", zy, zeta)) * u(zy)
-
-    return Field(fn, alg.dim, u.domain, u.interpolated)
+    """W(z,zeta)* u of the plain system."""
+    return WeylSystem(alg).adjoint_shift(p, u)
 
 
 def weyl_compose_factor(alg: LieAlgebra, p: PhasePoint, q: PhasePoint, x) -> np.ndarray:
@@ -158,22 +237,17 @@ def fourier_wigner(alg: LieAlgebra, u: Field, v: Field, g_grid: Grid,
                    xi_grid: XiGrid, method: str = "factored") -> XiSamples:
     """FW[u, v] sampled on a XiGrid; y-quadrature over `g_grid`.
 
-    "factored" evaluates the change of variables u(z^{-1}y) conj(v(y)) on
-    every (z, y) pair and applies the partial Fourier phase exp(i <y|zeta>)
-    axis by axis (`dual_phase_grid`, one small cached factor per axis).
-    "direct" is the literal per-node quadrature (slow; cross-check route).
-    Warns (`NyquistWarning`) when the dual box of `xi_grid` is past the
-    Nyquist band pi/h of `g_grid` on some axis.
+    "factored" is the plain system's `WeylSystem.wigner` (change of
+    variables, then the separable phase); "direct" is the literal per-node
+    quadrature (slow; cross-check route).  Both warn (`NyquistWarning`) when
+    the dual box of `xi_grid` is past the Nyquist band pi/h of `g_grid`.
     """
-    _warn_past_nyquist(g_grid, xi_grid.dual_grid)
-    z_nodes, zeta_nodes = xi_grid.node_pairs()
-    y = g_grid.nodes()
     if method == "factored":
-        shifted = alg.bch(alg.inv(z_nodes)[:, None, :], y[None, :, :])
-        g_zy = u(shifted) * np.conjugate(v(y))[None, :]
-        vals = g_grid.weight * dual_phase_grid(g_zy, g_grid, xi_grid.dual_grid, 1)
-        return XiSamples(xi_grid, vals)
+        return WeylSystem(alg).wigner(u, v, g_grid, xi_grid)
     if method == "direct":
+        _warn_past_nyquist(g_grid, xi_grid.dual_grid)
+        z_nodes, zeta_nodes = xi_grid.node_pairs()
+        y = g_grid.nodes()
         vals = np.empty((len(z_nodes), len(zeta_nodes)), dtype=complex)
         vy = np.conjugate(v(y))
         for i, z in enumerate(z_nodes):
@@ -199,8 +273,8 @@ def fourier_wigner_at(alg: LieAlgebra, u: Field, v: Field, g_grid: Grid,
 # ---------------------------------------------------------------------------
 
 def coherent_state(alg: LieAlgebra, w: Window, p: PhasePoint) -> Field:
-    """omega_{z,zeta} = W(z,zeta)* omega."""
-    return weyl_adjoint(alg, p, w.field)
+    """omega_{z,zeta} = W(z,zeta)* omega of the plain system."""
+    return WeylSystem(alg).adjoint_shift(p, w.field)
 
 
 def coherent_state_bank(alg: LieAlgebra, w: Window, xi_grid: XiGrid,

@@ -21,11 +21,13 @@ from .algebra import MAX_BCH_DEPTH, AlgebraError, LieAlgebra, preset, validate_a
 from .coherent import Window, make_window
 from .fields import Field
 from .grids import Grid, XiGrid
+from .magnetic import potential_preset
+from .operators import KERNEL_SAMPLE_GUARD
 from .symbols import (DeltaSymbol, GaussianSymbol, PhaseSymbol, XOnlySymbol,
                       XiOnlySymbol, XiSymbol)
+from .tau import resolve_tau
 
 XI_NODE_GUARD = 2_000_000
-KERNEL_SAMPLE_GUARD = 4_000_000
 
 _TOP_KEYS = {"group", "grid", "dual_grid", "xi_grid", "window", "symbol", "scheme",
              "tau", "potential", "seed", "tolerance_scale", "allow_large_grids",
@@ -226,9 +228,15 @@ def parse_config(text: str | dict) -> ExperimentConfig:
     if scheme not in _SCHEMES:
         problems.append(f"unknown scheme {scheme!r}; choose from {sorted(_SCHEMES)}")
     tau_name = raw.get("tau", "e")
-    if tau_name not in {"e", "id", "symmetric"}:
-        problems.append(f"unknown tau {tau_name!r}")
+    try:
+        resolve_tau(alg, tau_name)
+    except ValueError as exc:
+        problems.append(f"bad tau: {exc}")
     potential_name = raw.get("potential", "zero")
+    try:
+        potential_preset(potential_name, n)
+    except ValueError as exc:
+        problems.append(f"bad potential: {exc}")
 
     seed = raw.get("seed", 0)
     if not isinstance(seed, int) or seed < 0:

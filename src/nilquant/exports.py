@@ -80,15 +80,6 @@ def matrix_to_csv(op: OperatorMatrix, path: str):
             fh.write(template % tuple(row.tolist()))
 
 
-def load_matrix_csv(path: str, grid: Grid) -> OperatorMatrix:
-    rows = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            vals = [float(v) for v in line.strip().split(",") if v]
-            rows.append([complex(vals[i], vals[i + 1]) for i in range(0, len(vals), 2)])
-    return OperatorMatrix(grid, np.asarray(rows, dtype=complex))
-
-
 def field_to_csv(samples: np.ndarray, grid: Grid, path: str):
     """CSV rows: node coordinates, value real part, value imaginary part."""
     nodes = grid.nodes()

@@ -28,6 +28,8 @@ def _as_tuple(value, n, kind) -> tuple:
         raise GridError(f"per-axis values must be finite numbers, got {value!r}") from None
     if len(out) != n:
         raise GridError(f"expected {n} per-axis values, got {len(out)}")
+    if kind is int and any(o != float(v) for o, v in zip(out, value)):
+        raise GridError(f"node counts must be whole numbers, got {value!r}")
     return out
 
 
@@ -79,9 +81,17 @@ class Grid:
     def size(self) -> int:
         return int(np.prod(self.counts))
 
+    @cached_property
+    def _axes(self) -> tuple[np.ndarray, ...]:
+        axes = tuple(-L + (np.arange(N) + 0.5) * h
+                     for L, N, h in zip(self.half_width, self.counts, self.spacing))
+        for a in axes:
+            a.setflags(write=False)
+        return axes
+
     def axes(self) -> list[np.ndarray]:
-        return [-L + (np.arange(N) + 0.5) * h
-                for L, N, h in zip(self.half_width, self.counts, self.spacing)]
+        """Per-axis node coordinates; the arrays are cached and read-only."""
+        return list(self._axes)
 
     @cached_property
     def _nodes(self) -> np.ndarray:

@@ -6,8 +6,8 @@ potential along such a segment,
 
     Gamma^A[[x, y]] = integral_0^1 <log y - log x | A([x, y]_s)> ds,
 
-is computed with Gauss-Legendre quadrature (exact for polynomial potentials
-of degree < 2M).  Left translations acquire the circulation phase
+is computed with a fixed 32-point Gauss-Legendre rule (exact for polynomial
+potentials of degree < 64).  Left translations acquire the circulation phase
 
     [L^A_z u](x) = e^{i Gamma^A[[x, z^{-1}x]]} u(z^{-1} x)
 
@@ -18,37 +18,33 @@ straight in the chart, so that triangle is the flat 2-simplex on the corner
 coordinates and Stokes' theorem against the boundary circulations is an exact
 polynomial identity the suite checks at quadrature precision.
 
-The magnetic Weyl system W^A(z,zeta) = M_zeta L^A_z generates magnetic
-coherent states and a magnetic Berezin quantization whose kernel carries the
-two circulation phases; everything reduces to the plain formalism along the
-same code path when A == 0.  Changing gauge A -> A + d(psi) conjugates the
-whole formalism by Mult(e^{i psi}), with the window rotating along; the
-derivation is spelled out in `gauge_check`.
+The magnetic Weyl system W^A(z,zeta) = M_zeta L^A_z is a `coherent.WeylSystem`
+whose only change is the unit dressing G(y, z^{-1}y) = e^{i Gamma^A[[y, z^{-1}y]]}
+(`MagneticWeylSystem`): the magnetic translations, coherent states,
+Fourier-Wigner transform and Berezin quantizer are the plain routes run on
+this system, and `magnetic_system` builds the plain system itself for A == 0,
+so that reduction is bitwise by construction.  Changing gauge A -> A + d(psi)
+conjugates the whole formalism by Mult(e^{i psi}), with the window rotating
+along; the derivation is spelled out in `gauge_check`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
 from .algebra import LieAlgebra
-from .berezin import BerezinConfig, assemble_kernel, berezin_matrix
-from .coherent import PhasePoint, Window
+from .berezin import BerezinConfig, assemble_kernel, berezin_quantize  # noqa: F401 (re-export)
+from .coherent import PhasePoint, Window, WeylSystem
 from .fields import Field, XiSamples
 from .grids import Grid, XiGrid
 from .operators import OperatorMatrix
-from .transforms import dual_phase_grid
 
-DEFAULT_GL_ORDER = 32
-
-
-@lru_cache(maxsize=None)
-def _gauss_legendre_01(order: int):
-    x, w = np.polynomial.legendre.leggauss(order)
-    return (x + 1.0) / 2.0, w / 2.0
+GL_ORDER = 32  # Gauss-Legendre points of every circulation and flux integral
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(GL_ORDER)
+_GL_NODES, _GL_WEIGHTS = (_GL_NODES + 1.0) / 2.0, _GL_WEIGHTS / 2.0  # the rule on [0, 1]
 
 
 @dataclass(frozen=True)
@@ -100,10 +96,14 @@ def linear3_potential(b: float) -> VectorPotential:
 
 
 def potential_preset(name: str, n: int) -> VectorPotential:
+    if not isinstance(name, str):
+        raise ValueError(f"a potential preset is a name like 'landau:0.5', got {name!r}")
     kind, _, value = name.partition(":")
     if kind == "zero":
         return zero_potential(n)
     b = float(value) if value else 1.0
+    if not np.isfinite(b):
+        raise ValueError(f"potential strength must be finite, got {value!r}")
     if kind == "landau":
         if n != 2:
             raise ValueError("landau preset lives on a 2-dimensional group")
@@ -163,23 +163,22 @@ def segment(x, y, s):
     return x + s * (y - x)
 
 
-def circulation(A: VectorPotential, x, y, order: int = DEFAULT_GL_ORDER):
-    """Gamma^A[[x, y]]; exact for polynomial A of degree < 2 * order.
+def circulation(A: VectorPotential, x, y):
+    """Gamma^A[[x, y]] by the fixed 32-point Gauss-Legendre rule (`GL_ORDER`),
+    exact for polynomial A of degree < 64.
 
     Broadcasts over leading axes of x and y; antisymmetric under swapping.
     """
-    if A.is_zero:
-        x, y = np.broadcast_arrays(np.asarray(x, float), np.asarray(y, float))
-        return np.zeros(x.shape[:-1])
-    t, w = _gauss_legendre_01(order)
     x, y = np.broadcast_arrays(np.asarray(x, float), np.asarray(y, float))
+    if A.is_zero:
+        return np.zeros(x.shape[:-1])
     d = y - x
-    pts = x[..., None, :] + t[:, None] * d[..., None, :]
+    pts = x[..., None, :] + _GL_NODES[:, None] * d[..., None, :]
     integrand = np.einsum("...i,...ki->...k", d, A(pts))
-    return integrand @ w
+    return integrand @ _GL_WEIGHTS
 
 
-def flux_triangle(B: MagneticField, p0, p1, p2, order: int = DEFAULT_GL_ORDER) -> float:
+def flux_triangle(B: MagneticField, p0, p1, p2) -> float:
     """Flux of B through the flat 2-simplex with the given corner coordinates.
 
     Oriented so that it matches the circulation of a primitive along the
@@ -188,7 +187,7 @@ def flux_triangle(B: MagneticField, p0, p1, p2, order: int = DEFAULT_GL_ORDER) -
     p0 = np.asarray(p0, float)
     u = np.asarray(p1, float) - p0
     v = np.asarray(p2, float) - p0
-    t, w = _gauss_legendre_01(order)
+    t, w = _GL_NODES, _GL_WEIGHTS
     s_nodes = t[:, None]
     tp_nodes = t[None, :]
     pts = (p0[None, None, :] + s_nodes[..., None] * u[None, None, :]
@@ -198,119 +197,60 @@ def flux_triangle(B: MagneticField, p0, p1, p2, order: int = DEFAULT_GL_ORDER) -
     return float(np.einsum("a,ab,b->", w, vals * jac, w))
 
 
-def cocycle_flux(alg: LieAlgebra, B: MagneticField, x, y, z,
-                 order: int = DEFAULT_GL_ORDER) -> float:
+def cocycle_flux(alg: LieAlgebra, B: MagneticField, x, y, z) -> float:
     """Gamma^B(x; y, z): flux through the triangle with corners
     x, y^{-1}x, z^{-1}y^{-1}x."""
     x = np.asarray(x, float)
     c1 = alg.bch(alg.inv(np.asarray(y, float)), x)
     c2 = alg.bch(alg.inv(np.asarray(z, float)), c1)
-    return flux_triangle(B, x, c1, c2, order)
+    return flux_triangle(B, x, c1, c2)
 
 
 # ---------------------------------------------------------------------------
-# Magnetic translations and the Weyl system
+# Magnetic Weyl system and translations
 # ---------------------------------------------------------------------------
 
-def mag_translation(alg: LieAlgebra, A: VectorPotential, z, u: Field,
-                    order: int = DEFAULT_GL_ORDER) -> Field:
-    """[L^A_z u](x) = e^{i Gamma^A[[x, z^{-1}x]]} u(z^{-1}x); plain translation
-    along the same path when A == 0."""
-    from .ccr import trans_L
+@dataclass(frozen=True)
+class MagneticWeylSystem(WeylSystem):
+    """W^A: plain phase points, dressing G(y, z^{-1}y) = e^{i Gamma^A[[y, z^{-1}y]]}."""
 
-    if A.is_zero:
-        return trans_L(alg, z, u)
-    zinv = alg.inv(np.asarray(z, float))
+    A: VectorPotential
+    dressed = True
 
-    def fn(x):
-        shifted = alg.bch(zinv, x)
-        return np.exp(1j * circulation(A, x, shifted, order)) * u(shifted)
-
-    return Field(fn, alg.dim, u.domain, u.interpolated)
+    def dressing(self, y, back):
+        return circulation(self.A, y, back)
 
 
-def mag_weyl(alg: LieAlgebra, A: VectorPotential, p: PhasePoint, u: Field,
-             order: int = DEFAULT_GL_ORDER) -> Field:
+def magnetic_system(alg: LieAlgebra, A: VectorPotential) -> WeylSystem:
+    """The magnetic Weyl system; the plain system for A == 0."""
+    return WeylSystem(alg) if A.is_zero else MagneticWeylSystem(alg, A)
+
+
+def mag_translation(alg: LieAlgebra, A: VectorPotential, z, u: Field) -> Field:
+    """[L^A_z u](x) = e^{i Gamma^A[[x, z^{-1}x]]} u(z^{-1}x), the shift W^A(z, 0)."""
+    z = np.asarray(z, float)
+    return magnetic_system(alg, A).shift(PhasePoint(z, np.zeros_like(z)), u)
+
+
+def mag_weyl(alg: LieAlgebra, A: VectorPotential, p: PhasePoint, u: Field) -> Field:
     """W^A(z, zeta) = M_zeta L^A_z."""
-    from .coherent import weyl
-
-    if A.is_zero:
-        return weyl(alg, p, u)
-    zeta = p.zetav
-    base = mag_translation(alg, A, p.zv, u, order)
-    return Field(lambda x: np.exp(1j * np.einsum("...i,i->...", x, zeta)) * base(x),
-                 alg.dim, u.domain, u.interpolated)
+    return magnetic_system(alg, A).shift(p, u)
 
 
-def mag_coherent(alg: LieAlgebra, A: VectorPotential, w: Window, p: PhasePoint,
-                 order: int = DEFAULT_GL_ORDER) -> Field:
+def mag_coherent(alg: LieAlgebra, A: VectorPotential, w: Window, p: PhasePoint) -> Field:
     """omega^A_{z,zeta}(x) = e^{-i<log(zx)|zeta>} e^{-i Gamma^A[[zx, x]]} omega(zx)."""
-    from .coherent import weyl_adjoint
-
-    if A.is_zero:
-        return weyl_adjoint(alg, p, w.field)
-    z, zeta = p.zv, p.zetav
-
-    def fn(x):
-        zx = alg.bch(z, x)
-        phase = (-np.einsum("...i,i->...", zx, zeta)
-                 - circulation(A, zx, x, order))
-        return np.exp(1j * phase) * w(zx)
-
-    return Field(fn, alg.dim)
+    return magnetic_system(alg, A).adjoint_shift(p, w.field)
 
 
 def mag_wigner(alg: LieAlgebra, A: VectorPotential, u: Field, v: Field,
-               g_grid: Grid, xi_grid: XiGrid, order: int = DEFAULT_GL_ORDER) -> XiSamples:
-    """<W^A(z, zeta) u, v> on a XiGrid: the plain factored route with the
-    circulation phase folded into the integrand."""
-    from .coherent import fourier_wigner
-
-    if A.is_zero:
-        return fourier_wigner(alg, u, v, g_grid, xi_grid)
-    z_nodes, _ = xi_grid.node_pairs()
-    y = g_grid.nodes()
-    shifted = alg.bch(alg.inv(z_nodes)[:, None, :], y[None, :, :])
-    circ = np.empty(shifted.shape[:-1])
-    for i in range(len(z_nodes)):
-        circ[i] = circulation(A, y, shifted[i], order)
-    g_zy = u(shifted) * np.conjugate(v(y))[None, :] * np.exp(1j * circ)
-    return XiSamples(xi_grid, g_grid.weight * dual_phase_grid(g_zy, g_grid,
-                                                             xi_grid.dual_grid, 1))
+               g_grid: Grid, xi_grid: XiGrid) -> XiSamples:
+    """<W^A(z, zeta) u, v> on a XiGrid (`WeylSystem.wigner`)."""
+    return magnetic_system(alg, A).wigner(u, v, g_grid, xi_grid)
 
 
-def mag_berezin(cfg: BerezinConfig, A: VectorPotential,
-                order: int = DEFAULT_GL_ORDER, z_quadrature=None) -> OperatorMatrix:
-    """Ber^A(f): coherent-kernel assembly with circulation-dressed windows.
-
-    The kernel integrand is f-hat2(z, log(zx)-log(zy)) g(z,x) conj(g(z,y))
-    with g(z, x) = omega(zx) e^{-i Gamma^A[[zx, x]]}; for f >= 0 it stays a
-    positive combination of rank-one projectors.  A == 0 delegates; a symbol
-    constant in the dual variable gives the plain multiplier (the circulation
-    phases cancel in |.|^2), and a point mass the magnetic coherent projector.
-    """
-    from .symbols import DeltaSymbol, XOnlySymbol
-
-    if A.is_zero or isinstance(cfg.symbol, XOnlySymbol):
-        return berezin_matrix(cfg, z_quadrature)
-    if isinstance(cfg.symbol, DeltaSymbol):
-        state = mag_coherent(cfg.algebra, A, cfg.window,
-                             PhasePoint(cfg.symbol.z, cfg.symbol.zeta), order)
-        op = OperatorMatrix.rank_one(cfg.g_grid, state)
-        op.kernel *= cfg.symbol.mass
-        op.meta["delta_symbol"] = True
-        return op
-    alg, window = cfg.algebra, cfg.window
-    z_nodes, z_w = z_quadrature or cfg.z_quadrature()
-    x = cfg.g_grid.nodes()
-
-    def row(z):
-        zx = alg.bch(z, x)
-        g = window(zx) * np.exp(-1j * circulation(A, zx, x, order))
-        return zx, g
-
-    kernel = assemble_kernel(cfg.symbol, z_nodes, z_w, row)
-    return OperatorMatrix(cfg.g_grid, kernel)
+def mag_berezin(cfg: BerezinConfig, A: VectorPotential, z_quadrature=None) -> OperatorMatrix:
+    """Ber^A(f): `berezin_quantize` on the magnetic Weyl system."""
+    return berezin_quantize(cfg, magnetic_system(cfg.algebra, A), z_quadrature)
 
 
 # ---------------------------------------------------------------------------
@@ -318,32 +258,30 @@ def mag_berezin(cfg: BerezinConfig, A: VectorPotential,
 # ---------------------------------------------------------------------------
 
 def cocycle_residual(alg: LieAlgebra, A: VectorPotential, u: Field, y, z,
-                     points, B: MagneticField | None = None,
-                     order: int = DEFAULT_GL_ORDER) -> float:
+                     points, B: MagneticField | None = None) -> float:
     """Pointwise residual of L^A_y L^A_z = e^{i Gamma^B(.; y, z)} L^A_{yz}."""
     B = B or MagneticField.from_potential(A)
     y = np.asarray(y, float)
     z = np.asarray(z, float)
     points = np.asarray(points, float)
-    lhs = mag_translation(alg, A, y, mag_translation(alg, A, z, u, order), order)(points)
-    base = mag_translation(alg, A, alg.mul(y, z), u, order)(points)
-    flux = np.array([cocycle_flux(alg, B, x, y, z, order) for x in points])
+    lhs = mag_translation(alg, A, y, mag_translation(alg, A, z, u))(points)
+    base = mag_translation(alg, A, alg.mul(y, z), u)(points)
+    flux = np.array([cocycle_flux(alg, B, x, y, z) for x in points])
     rhs = np.exp(1j * flux) * base
     scale = float(np.max(np.abs(base))) or 1.0
     return float(np.max(np.abs(lhs - rhs))) / scale
 
 
 def stokes_residual(alg: LieAlgebra, A: VectorPotential, x, y, z,
-                    B: MagneticField | None = None,
-                    order: int = DEFAULT_GL_ORDER) -> float:
+                    B: MagneticField | None = None) -> float:
     """Flux through the cocycle triangle vs the boundary circulation of A."""
     B = B or MagneticField.from_potential(A)
     x = np.asarray(x, float)
     c1 = alg.bch(alg.inv(np.asarray(y, float)), x)
     c2 = alg.bch(alg.inv(np.asarray(z, float)), c1)
-    flux = flux_triangle(B, x, c1, c2, order)
-    loop = (float(circulation(A, x, c1, order)) + float(circulation(A, c1, c2, order))
-            + float(circulation(A, c2, x, order)))
+    flux = flux_triangle(B, x, c1, c2)
+    loop = (float(circulation(A, x, c1)) + float(circulation(A, c1, c2))
+            + float(circulation(A, c2, x)))
     return abs(flux - loop)
 
 
@@ -366,7 +304,7 @@ def grad_potential(psi: Field, h: float = 1e-6, analytic_grad=None) -> VectorPot
 
 
 def gauge_check(cfg: BerezinConfig, A: VectorPotential, psi: Field, z,
-                points, analytic_grad=None, order: int = DEFAULT_GL_ORDER) -> dict:
+                points, analytic_grad=None) -> dict:
     """Both gauge-covariance identities for A -> A + d(psi).
 
     Translations: the circulation of d(psi) along a segment telescopes to the
@@ -384,37 +322,36 @@ def gauge_check(cfg: BerezinConfig, A: VectorPotential, psi: Field, z,
     one at a time.
     """
     return {"translation_residual": gauge_translation_residual(
-                cfg, A, psi, z, points, analytic_grad, order),
-            "berezin_residual": gauge_berezin_residual(cfg, A, psi, analytic_grad, order)}
+                cfg, A, psi, z, points, analytic_grad),
+            "berezin_residual": gauge_berezin_residual(cfg, A, psi, analytic_grad)}
 
 
 def gauge_translation_residual(cfg: BerezinConfig, A: VectorPotential, psi: Field, z,
-                               points, analytic_grad=None,
-                               order: int = DEFAULT_GL_ORDER) -> float:
+                               points, analytic_grad=None) -> float:
     """Max-relative residual of the translation identity in `gauge_check`,
     applied to the window at `points`."""
     alg = cfg.algebra
     A2 = A + grad_potential(psi, analytic_grad=analytic_grad)
     u = cfg.window.field
     points = np.asarray(points, float)
-    lhs = mag_translation(alg, A2, z, u, order)(points)
+    lhs = mag_translation(alg, A2, z, u)(points)
     inner_field = Field(lambda p: np.exp(1j * psi(p)) * u(p), alg.dim)
-    mid = mag_translation(alg, A, z, inner_field, order)
+    mid = mag_translation(alg, A, z, inner_field)
     rhs = np.exp(-1j * psi(points)) * mid(points)
     scale = float(np.max(np.abs(rhs))) or 1.0
     return float(np.max(np.abs(lhs - rhs))) / scale
 
 
 def gauge_berezin_residual(cfg: BerezinConfig, A: VectorPotential, psi: Field,
-                           analytic_grad=None, order: int = DEFAULT_GL_ORDER) -> float:
+                           analytic_grad=None) -> float:
     """Frobenius-relative residual of the Berezin identity in `gauge_check`."""
     alg = cfg.algebra
     A2 = A + grad_potential(psi, analytic_grad=analytic_grad)
-    K_lhs = mag_berezin(cfg, A2, order).kernel
+    K_lhs = mag_berezin(cfg, A2).kernel
     rotated = Window.normalized(Field(lambda p: np.exp(1j * psi(p)) * cfg.window(p),
                                       alg.dim), cfg.window.grid)
     cfg_rot = BerezinConfig(alg, rotated, cfg.g_grid, cfg.xi_grid, cfg.symbol)
-    K_mid = mag_berezin(cfg_rot, A, order).kernel
+    K_mid = mag_berezin(cfg_rot, A).kernel
     pv = psi(cfg.g_grid.nodes())
     K_rhs = np.exp(-1j * pv[:, None]) * K_mid * np.exp(1j * pv[None, :])
     scale = max(np.linalg.norm(K_lhs), np.linalg.norm(K_rhs), 1e-300)

@@ -18,6 +18,9 @@ from .fields import Field, gridded_field
 from .grids import Grid
 
 
+KERNEL_SAMPLE_GUARD = 4_000_000  # largest m * m kernel a quantizer assembles by default
+
+
 class OperatorError(ValueError):
     pass
 

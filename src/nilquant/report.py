@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field
 
@@ -70,9 +69,6 @@ class VerificationReport:
             "passed": self.passed,
             "checks": [c.to_dict() for c in self.checks],
         }
-
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
 
     def lines(self) -> list[str]:
         return [c.line() for c in self.checks]

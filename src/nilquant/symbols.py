@@ -171,13 +171,6 @@ class GaussianSymbol(XiSymbol):
         ph = np.einsum("...i,i->...", w, self.gxi.center)
         return self._prefactor() * self.gx(x) * np.exp(quad + 1j * ph)
 
-    def hat2_pair(self, x, P, Q):
-        """hat2(x, P_i - Q_j) via the row/column/cross split (fast path)."""
-        row, col, cross = _pair_exponent(self.gxi.sigma, self.gxi.center,
-                                         self.gxi.phase, P, Q)
-        return (self._prefactor() * np.asarray(self.gx(x)).reshape(-1, 1)
-                * np.exp(row[:, None] + col[None, :] - cross))
-
     def hat2_pair_exponent(self, x, P, Q):
         """(prefactor, row, col, cross) with hat2(x, P_i - Q_j) =
         prefactor * exp(row_i + col_j - cross_ij); x must be a single point.

@@ -19,9 +19,12 @@ a fixed point.
 
 The tau-Weyl system W_tau(z, zeta) u = e^{i<log(tau(z)^{-1} x)|zeta>} u(z^{-1}x)
 shifts the modulation's base point; tau == e gives the plain system and
-tau == id the opposite ordering L_z M_zeta.  Coherent states, Fourier-Wigner
-transforms and Berezin operators follow the same pattern; tau == e delegates
-to the plain implementations (identical code path, bitwise-equal output).
+tau == id the opposite ordering L_z M_zeta.  It is a `coherent.WeylSystem`
+whose phase points P(z, y) = log(tau(z)^{-1} y) are the only change
+(`TauWeylSystem`): the shift, the coherent states, the Fourier-Wigner
+transform and the Berezin quantizer are the plain routes run on this system,
+and `tau_system` builds the plain system itself for tau == e, so that
+reduction is bitwise by construction.
 """
 
 from __future__ import annotations
@@ -32,8 +35,8 @@ from typing import Callable
 import numpy as np
 
 from .algebra import LieAlgebra
-from .berezin import BerezinConfig, assemble_kernel, berezin_matrix
-from .coherent import PhasePoint, Window, weyl, weyl_adjoint
+from .berezin import BerezinConfig, assemble_kernel, berezin_quantize  # noqa: F401 (re-export)
+from .coherent import PhasePoint, Window, WeylSystem
 from .fields import Field, XiSamples
 from .grids import Grid, XiGrid
 from .operators import OperatorMatrix
@@ -100,62 +103,39 @@ def resolve_tau(alg: LieAlgebra, name: str) -> TauMap:
 
 
 # ---------------------------------------------------------------------------
-# tau-Weyl system and coherent states
+# tau-Weyl system
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class TauWeylSystem(WeylSystem):
+    """W_tau: phase points P(z, y) = log(tau(z)^{-1} y), no dressing."""
+
+    tau: TauMap
+    moves_points = True
+
+    def phase_points(self, z, y):
+        return self.alg.bch(self.alg.inv(self.tau(z)), y)
+
+
+def tau_system(alg: LieAlgebra, tau: TauMap) -> WeylSystem:
+    """The tau-Weyl system; the plain system for tau == e."""
+    return WeylSystem(alg) if tau.is_trivial else TauWeylSystem(alg, tau)
+
+
 def weyl_tau(alg: LieAlgebra, tau: TauMap, p: PhasePoint, u: Field) -> Field:
-    """W_tau(z, zeta) u; identical code path to the plain system for tau == e."""
-    if tau.is_trivial:
-        return weyl(alg, p, u)
-    z, zeta = p.zv, p.zetav
-    tz_inv = alg.inv(tau(z))
-    zinv = alg.inv(z)
-
-    def fn(x):
-        phase_arg = alg.bch(tz_inv, x)
-        return np.exp(1j * np.einsum("...i,i->...", phase_arg, zeta)) * u(alg.bch(zinv, x))
-
-    return Field(fn, alg.dim, u.domain, u.interpolated)
+    """W_tau(z, zeta) u."""
+    return tau_system(alg, tau).shift(p, u)
 
 
 def coherent_tau(alg: LieAlgebra, tau: TauMap, w: Window, p: PhasePoint) -> Field:
     """omega^tau_{z,zeta}(x) = e^{-i<log(tau(z)^{-1} z x)|zeta>} omega(zx)."""
-    if tau.is_trivial:
-        return weyl_adjoint(alg, p, w.field)
-    z, zeta = p.zv, p.zetav
-    tz_inv = alg.inv(tau(z))
-
-    def fn(x):
-        zx = alg.bch(z, x)
-        phase_arg = alg.bch(tz_inv, zx)
-        return np.exp(-1j * np.einsum("...i,i->...", phase_arg, zeta)) * w(zx)
-
-    return Field(fn, alg.dim)
+    return tau_system(alg, tau).adjoint_shift(p, w.field)
 
 
 def wigner_tau(alg: LieAlgebra, tau: TauMap, u: Field, v: Field, g_grid: Grid,
                xi_grid: XiGrid) -> XiSamples:
-    """<W_tau(z, zeta) u, v> on a XiGrid; the modulation base point now depends
-    on z, so the phase matrix is built per z node.
-
-    It stays a dense exp: the phase points log(tau(z)^{-1} y) are the y grid
-    moved by a group product, not a tensor grid, so the axis-by-axis
-    `transforms.dual_phase_grid` does not apply, and the sum runs over those
-    points rather than over dual nodes as in `dual_phase_points`."""
-    from .coherent import fourier_wigner
-
-    if tau.is_trivial:
-        return fourier_wigner(alg, u, v, g_grid, xi_grid)
-    z_nodes, zeta_nodes = xi_grid.node_pairs()
-    y = g_grid.nodes()
-    vy = np.conjugate(v(y))
-    vals = np.empty((len(z_nodes), len(zeta_nodes)), dtype=complex)
-    for i, z in enumerate(z_nodes):
-        uz = u(alg.bch(alg.inv(z), y)) * vy
-        phase_arg = alg.bch(alg.inv(tau(z)), y)
-        E = np.exp(1j * (phase_arg @ zeta_nodes.T))
-        vals[i] = g_grid.weight * (uz @ E)
-    return XiSamples(xi_grid, vals)
+    """<W_tau(z, zeta) u, v> on a XiGrid (`WeylSystem.wigner`)."""
+    return tau_system(alg, tau).wigner(u, v, g_grid, xi_grid)
 
 
 # ---------------------------------------------------------------------------
@@ -179,35 +159,8 @@ def op_quantize_tau(alg: LieAlgebra, symbol: XiSymbol, tau: TauMap,
 
 
 def berezin_tau(cfg: BerezinConfig, tau: TauMap, z_quadrature=None) -> OperatorMatrix:
-    """Ber_tau(f): the coherent-kernel assembly with modulation base points
-    moved to tau(z)^{-1} z x.  Delegates to the plain assembly for tau == e.
-
-    Symbols constant in the dual variable give the same multiplication
-    operator for every tau (the point mass in the fibre transform pins x = y,
-    where the ordering phases cancel), and a phase-space point mass gives the
-    tau-coherent projector.
-    """
-    from .symbols import DeltaSymbol, XOnlySymbol
-
-    if tau.is_trivial or isinstance(cfg.symbol, XOnlySymbol):
-        return berezin_matrix(cfg, z_quadrature)
-    if isinstance(cfg.symbol, DeltaSymbol):
-        state = coherent_tau(cfg.algebra, tau, cfg.window,
-                             PhasePoint(cfg.symbol.z, cfg.symbol.zeta))
-        op = OperatorMatrix.rank_one(cfg.g_grid, state)
-        op.kernel *= cfg.symbol.mass
-        op.meta["delta_symbol"] = True
-        return op
-    alg, window = cfg.algebra, cfg.window
-    z_nodes, z_w = z_quadrature or cfg.z_quadrature()
-    x = cfg.g_grid.nodes()
-
-    def row(z):
-        zx = alg.bch(z, x)
-        return alg.bch(alg.inv(tau(z)), zx), window(zx)
-
-    kernel = assemble_kernel(cfg.symbol, z_nodes, z_w, row)
-    return OperatorMatrix(cfg.g_grid, kernel)
+    """Ber_tau(f): `berezin_quantize` on the tau-Weyl system."""
+    return berezin_quantize(cfg, tau_system(cfg.algebra, tau), z_quadrature)
 
 
 def covariance_residual_M(cfg: BerezinConfig, zeta) -> float:

@@ -8,8 +8,7 @@ import pytest
 
 from nilquant.cli import main
 from nilquant.config import ConfigError, parse_config
-from nilquant.exports import (field_to_csv, load_matrix, load_matrix_csv, matrix_to_csv,
-                              save_matrix)
+from nilquant.exports import field_to_csv, load_matrix, matrix_to_csv, save_matrix
 from nilquant.grids import Grid
 from nilquant.operators import OperatorMatrix
 from nilquant.verify import run_suites
@@ -19,6 +18,13 @@ SMALL = {
     "grid": {"half_width": 8.0, "count": 32},
     "xi_grid": {"g": {"half_width": 8.0, "count": 32},
                 "dual": {"half_width": 8.0, "count": 32}},
+}
+
+H1_SMALL = {
+    "group": "heisenberg:1",
+    "grid": {"half_width": 3.0, "count": 5},
+    "xi_grid": {"g": {"half_width": 3.0, "count": 4},
+                "dual": {"half_width": 2.0, "count": 3}},
 }
 
 
@@ -122,8 +128,9 @@ def test_matrix_csv_round_trip(tmp_path):
     op = OperatorMatrix(g, rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)))
     path = str(tmp_path / "m.csv")
     matrix_to_csv(op, path)
-    back = load_matrix_csv(path, g)
-    assert np.max(np.abs(back.kernel - op.kernel)) < 1e-15
+    rows = [[float(v) for v in line.split(",")] for line in open(path).read().splitlines()]
+    back = np.array(rows)[:, 0::2] + 1j * np.array(rows)[:, 1::2]
+    assert np.max(np.abs(back - op.kernel)) < 1e-15
 
 
 def test_field_csv(tmp_path):
@@ -234,6 +241,10 @@ def test_cli_config_error_exit_code(tmp_path):
     ({"symbol": {"kind": "gaussian", "amplitude": float("nan")}}, "bad symbol"),
     ({"symbol": {"kind": "gaussian", "xi_sigma": float("inf")}}, "bad symbol"),
     ({"symbol": {"kind": "gaussian", "x_center": [float("nan")]}}, "bad symbol"),
+    ({"tau": ["e"]}, "bad tau"),
+    ({"potential": 5}, "bad potential"),
+    ({**H1_SMALL, "potential": "linear3:nan"}, "bad potential"),
+    ({**H1_SMALL, "potential": "landau:1"}, "bad potential"),
 ])
 def test_parse_reports_bad_specs(spec, problem):
     with pytest.raises(ConfigError, match=problem):
@@ -273,6 +284,48 @@ def test_cli_bad_brackets_and_non_finite_values_exit_2(tmp_path, spec):
     assert main(["quantize", "--config", str(path), "--out", str(tmp_path / "q")]) == 2
     assert main(["verify", "--config", str(path)]) == 2
     assert not (tmp_path / "q").exists()
+
+
+def test_parse_accepts_tau_and_potential_presets():
+    cfg = parse_config({**H1_SMALL, "tau": "symmetric", "potential": "linear3:0.6"})
+    assert (cfg.tau_name, cfg.potential_name) == ("symmetric", "linear3:0.6")
+    assert parse_config({"group": "abelian:2", "potential": "landau:0.5"}).potential_name
+
+
+@pytest.mark.parametrize("spec", [
+    {"tau": ["e"]},
+    {"potential": 5},
+    {**H1_SMALL, "potential": "linear3:nan"},
+    {**H1_SMALL, "potential": "landau:1"},
+])
+def test_cli_bad_tau_and_potential_exit_2(tmp_path, spec):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**SMALL, **spec}))
+    assert main(["quantize", "--config", str(path), "--out", str(tmp_path / "q")]) == 2
+    assert main(["verify", "--config", str(path)]) == 2
+    assert not (tmp_path / "q").exists()
+
+
+@pytest.mark.parametrize("potential", ["linear3:nan", "landau:1", "linear3:strong"])
+def test_cli_bad_potential_flag_exit_2(tmp_path, potential):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(H1_SMALL))
+    assert main(["quantize", "--config", str(path), "--scheme", "magnetic",
+                 "--potential", potential, "--out", str(tmp_path / "q")]) == 2
+    assert not (tmp_path / "q").exists()
+
+
+def test_cli_magnetic_nonzero_potential(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({
+        "group": "abelian:2", "grid": {"half_width": 4, "count": 8},
+        "xi_grid": {"g": {"half_width": 4, "count": 6},
+                    "dual": {"half_width": 3, "count": 6}}}))
+    out = tmp_path / "q"
+    assert main(["quantize", "--config", str(path), "--scheme", "magnetic",
+                 "--potential", "landau:0.5", "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["scheme"] == "magnetic" and summary["hermiticity_residual"] < 1e-12
 
 
 def test_report_determinism():

@@ -40,6 +40,21 @@ def test_grid_validation():
             Grid.box(2, (1.0, bad), 4)
         with pytest.raises(GridError):
             Grid.box(1, 1.0, bad)
+    with pytest.raises(GridError):
+        Grid.box(1, 1.0, 32.7)  # a fractional count is not truncated
+    for whole in (32, 32.0, np.int64(32)):
+        assert Grid.box(1, 1.0, whole).counts == (32,)
+
+
+def test_grid_axes_cached_read_only():
+    g = Grid.box(2, (1.0, 2.0), (4, 3))
+    first, again = g.axes(), g.axes()
+    assert all(a is b for a, b in zip(first, again))
+    assert [a.shape for a in first] == [(4,), (3,)]
+    for a in first:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0.0
 
 
 def test_integrate_constant_box():
