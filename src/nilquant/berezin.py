@@ -14,12 +14,16 @@ variable in closed form: with hat2 the partial transform of f,
 
 so only the z-quadrature is numerical.  For Gaussian-class symbols the
 transform exponent at V = log(zx) - log(zy) is a row term plus a column term
-minus a real cross term, so each z-node costs one real matrix exp and a
+minus a real cross term of rank n, so each z-node costs one (n+2)-deep
+matrix product for the whole real exponent, one real matrix exp and a
 complex outer scaling by unit phase vectors (see `assemble_kernel`).
 
-For fixed z and nonnegative f the (x, y) matrix of the integrand is positive
-semidefinite, hence the assembled kernel is PSD up to roundoff whenever
-f >= 0 — positivity is inherited structurally, not by tolerance.
+For fixed z and real f the (x, y) matrix of the integrand is Hermitian, and
+positive semidefinite when f >= 0, hence the assembled kernel is PSD up to
+roundoff whenever f >= 0 — positivity is inherited structurally, not by
+tolerance.  When rows equal columns and the symbol is real
+(`XiSymbol.real`), only the upper triangle is assembled and mirrored, so
+the kernel is exactly Hermitian.
 
 The tau-ordered and magnetic quantizations use the same assembly with their
 Weyl system's phase points in place of log(zx) and its dressing on the
@@ -86,6 +90,16 @@ def berezin_weak(cfg: BerezinConfig, u: Field, v: Field) -> complex:
 # Kernel assembly
 # ---------------------------------------------------------------------------
 
+def _row_blocks(m: int) -> list[int]:
+    """Row boundaries of the upper-triangle blocks [r0, r1) x [r0, m) of an
+    m x m Hermitian kernel: one block below 128 rows, else m // 64 of them
+    (at most 8), each holding an equal share of the upper triangle."""
+    b = min(8, m // 64)
+    if b <= 1:
+        return [0, m]
+    return [round(m * (1.0 - math.sqrt(1.0 - k / b))) for k in range(b + 1)]
+
+
 def assemble_kernel(symbol: XiSymbol, z_nodes: np.ndarray, z_weight: float,
                     row_data, col_data=None) -> np.ndarray:
     """K[i,j] = z_weight * sum_z hat2(z, P_z[i] - Q_z[j]) G_z[i] conj(H_z[j]).
@@ -96,36 +110,71 @@ def assemble_kernel(symbol: XiSymbol, z_nodes: np.ndarray, z_weight: float,
     This one loop serves the plain, ordering-twisted and magnetic variants.
 
     The symbol supplies its transform exponent in row + col - cross form
+    with the cross term as two rank-n factors, cross = Xs @ Qf.T
     (``hat2_pair_exponent``); the window factors are folded into the row and
     column vectors through their logs.  The cross term is real, so each entry
     splits as
 
-        exp(Re row_i + Re col_j - cross_ij) * e^{i Im row_i} * e^{i Im col_j}:
+        exp(Re row_i + Re col_j - cross_ij) * e^{i Im row_i} * e^{i Im col_j},
 
-    per node one real m x m exp, two length-m unit phase vectors (the
-    prefactor rides on the row one) and one complex outer scaling into the
-    accumulator.  The real matrix is exactly the real part of the full
-    complex exponent, so it overflows and underflows where that would; a zero
-    window value (log 0 = -inf) gives a zero entry.
+    and the real exponent of a block of entries is one matrix product
+    U @ V.T with U = [-Xs, Re row, 1] and V = [Qf, 1, Re col]: per node and
+    block one n+2-deep matmul, one real exp, and one complex outer scaling
+    by unit phase vectors (the prefactor rides on the row one) into the
+    block's accumulator.  The real matrix is exactly the real part of the
+    full complex exponent up to rounding, so it overflows and underflows
+    where that would; a zero window value (log 0 = -inf) gives a zero entry.
+
+    When the columns are the rows (``col_data`` is None) and the symbol is
+    real (``XiSymbol.real``), every node's term is Hermitian, so only the
+    upper-triangle row blocks [r0, r1) x [r0, m) are accumulated, each in its
+    own contiguous buffer (`_row_blocks`); the lower triangle is mirrored
+    once at the end and the diagonal made real, so K == K^H exactly.
+    Otherwise the whole (m, k) matrix is the one block.  Either way each
+    entry sums its z terms in node order.
     """
-    K = rexp = term = None
+    half = col_data is None and symbol.real
+    spans = accs = None
     for z in z_nodes:
         P, G = row_data(z)
         Q, H = (P, G) if col_data is None else col_data(z)
-        pref, row, col, cross = symbol.hat2_pair_exponent(z, P, Q)
+        pref, row, col, Xs, Qf = symbol.hat2_pair_exponent(z, P, Q)
         with np.errstate(divide="ignore"):
             row = row + np.log(np.asarray(G, dtype=complex))
             col = col + np.conjugate(np.log(np.asarray(H, dtype=complex)))
-        if K is None:
-            rexp = np.empty(cross.shape)
-            term = np.empty(cross.shape, dtype=complex)
-            K = np.zeros(cross.shape, dtype=complex)
-        np.subtract(row.real[:, None], cross, out=rexp)
-        rexp += col.real[None, :]
-        np.exp(rexp, out=rexp)
-        np.multiply(rexp, (pref * np.exp(1j * row.imag))[:, None], out=term)
-        term *= np.exp(1j * col.imag)[None, :]
-        K += term
+        (m, n), k = Xs.shape, len(Qf)
+        U = np.empty((m, n + 2))
+        np.negative(Xs, out=U[:, :n])
+        U[:, n] = row.real
+        U[:, n + 1] = 1.0
+        V = np.empty((k, n + 2))
+        V[:, :n] = Qf
+        V[:, n] = 1.0
+        V[:, n + 1] = col.real
+        rphase = pref * np.exp(1j * row.imag)
+        cphase = np.exp(1j * col.imag)
+        if accs is None:
+            bounds = _row_blocks(m) if half else [0, m]
+            spans = [(r0, r1, r0 if half else 0) for r0, r1 in zip(bounds, bounds[1:])]
+            shapes = [(r1 - r0, k - c0) for r0, r1, c0 in spans]
+            rexps = [np.empty(s) for s in shapes]
+            terms = [np.empty(s, dtype=complex) for s in shapes]
+            accs = [np.zeros(s, dtype=complex) for s in shapes]
+        for (r0, r1, c0), rexp, term, acc in zip(spans, rexps, terms, accs):
+            np.matmul(U[r0:r1], V[c0:].T, out=rexp)
+            np.exp(rexp, out=rexp)
+            np.multiply(rexp, rphase[r0:r1, None], out=term)
+            term *= cphase[None, c0:]
+            acc += term
+    if half:
+        K = np.empty((m, m), dtype=complex)
+        for (r0, r1, c0), acc in zip(spans, accs):
+            K[r0:r1, c0:] = acc
+        lower = np.tril_indices(m, -1)
+        K[lower] = np.conjugate(K.T[lower])
+        K.flat[::m + 1] = K.diagonal().real
+    else:
+        K = accs[0]
     K *= z_weight
     return K
 

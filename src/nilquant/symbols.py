@@ -15,10 +15,10 @@ symbols constant in one variable) are dedicated classes that quantizers
 special-case.
 
 The quadratic exponents arising from Gaussian transforms evaluated at
-V = P_i - Q_j split as row + column + cross terms with a real cross term, so
-the (i, j) matrix of transform values costs one small matrix product, one
-real exp and two unit phase vectors; that is the hot path of every
-Berezin-type assembly.
+V = P_i - Q_j split as row + column - cross terms with a real cross term of
+rank n, returned as its two factors (cross = Xs @ Q.T); the (i, j) matrix of
+transform values then costs one small matrix product, one real exp and two
+unit phase vectors, the hot path of every Berezin-type assembly.
 """
 
 from __future__ import annotations
@@ -54,15 +54,14 @@ def _pair_exponent(sigma: np.ndarray, center: np.ndarray, phase: np.ndarray,
         i <w | center> - |sigma w|^2 / 2,   w = phase - P_i + Q_j,
 
     so the (i, j) matrix of exponents is row[:, None] + col[None, :] - cross
-    with one small matrix product for the cross term.
+    with cross = Xs @ Q.T; the factors (Xs, Q) are returned, not the product.
     """
     s2 = sigma ** 2
     A = phase[None, :] - np.asarray(P, float)
     Q = np.asarray(Q, float)
     row = -0.5 * np.einsum("ik,k,ik->i", A, s2, A) + 1j * (A @ center)
     col = -0.5 * np.einsum("jk,k,jk->j", Q, s2, Q) + 1j * (Q @ center)
-    cross = (A * s2[None, :]) @ Q.T
-    return row, col, cross
+    return row, col, A * s2[None, :], Q
 
 
 @dataclass(frozen=True)
@@ -121,9 +120,15 @@ class XiSymbol:
         return self.hat2(x, np.negative(V))
 
     def hat2_pair_exponent(self, x, P, Q):
-        """(prefactor, row, col, cross) with hat2(x, P_i - Q_j) =
-        prefactor * exp(row_i + col_j - cross_ij), cross real."""
+        """(prefactor, row, col, Xs, Qf) with hat2(x, P_i - Q_j) =
+        prefactor * exp(row_i + col_j - cross_ij), cross = Xs @ Qf.T real."""
         raise SymbolError(f"{type(self).__name__} has no closed-form pair transform")
+
+    @property
+    def real(self) -> bool:
+        """True when f is real-valued by construction; Ber(f) is then
+        self-adjoint and kernel assemblies build only one triangle."""
+        return False
 
     def lp_norm(self, s: float) -> float:
         raise SymbolError(f"{type(self).__name__} has no closed-form L^p norm")
@@ -172,16 +177,22 @@ class GaussianSymbol(XiSymbol):
         return self._prefactor() * self.gx(x) * np.exp(quad + 1j * ph)
 
     def hat2_pair_exponent(self, x, P, Q):
-        """(prefactor, row, col, cross) with hat2(x, P_i - Q_j) =
-        prefactor * exp(row_i + col_j - cross_ij); x must be a single point.
+        """(prefactor, row, col, Xs, Qf) with hat2(x, P_i - Q_j) =
+        prefactor * exp(row_i + col_j - (Xs @ Qf.T)_ij); x must be a single
+        point.
 
         Kernel assemblies fold window factors and quadrature weights into the
         row/col vectors and exponentiate in place — the per-node hot path.
         """
         pref = self._prefactor() * complex(self.gx(np.asarray(x, float)))
-        row, col, cross = _pair_exponent(self.gxi.sigma, self.gxi.center,
-                                         self.gxi.phase, P, Q)
-        return pref, row, col, cross
+        return (pref,) + _pair_exponent(self.gxi.sigma, self.gxi.center,
+                                        self.gxi.phase, P, Q)
+
+    @property
+    def real(self) -> bool:
+        """A real amplitude and no x or xi phase."""
+        return bool(np.imag(self.amplitude) == 0 and not np.any(self.gx.phase)
+                    and not np.any(self.gxi.phase))
 
     def lp_norm(self, s: float) -> float:
         """||f||_{L^s(Xi)} with the (2 pi)^{-n} dual measure; s = inf gives |amp|."""
@@ -250,6 +261,10 @@ class TranslatedSymbol(XiSymbol):
 
     def hat2_pair_exponent(self, x, P, Q):
         return self.base.hat2_pair_exponent(self._move(x), P, Q)
+
+    @property
+    def real(self) -> bool:
+        return self.base.real
 
     def lp_norm(self, s: float) -> float:
         # right translation is measure preserving
@@ -376,6 +391,10 @@ class XiOnlySymbol(XiSymbol):
         if self.psi is None:
             raise SymbolError("no closed-form transform for a sampled dual profile")
         pref = complex(np.prod(self.psi.sigma / math.sqrt(TWO_PI)))
-        row, col, cross = _pair_exponent(self.psi.sigma, self.psi.center,
-                                         self.psi.phase, P, Q)
-        return pref, row, col, cross
+        return (pref,) + _pair_exponent(self.psi.sigma, self.psi.center,
+                                        self.psi.phase, P, Q)
+
+    @property
+    def real(self) -> bool:
+        """A Gaussian dual profile with no phase."""
+        return bool(self.psi is not None and not np.any(self.psi.phase))

@@ -35,7 +35,7 @@ from typing import Callable
 import numpy as np
 
 from .algebra import LieAlgebra
-from .berezin import BerezinConfig, assemble_kernel, berezin_quantize  # noqa: F401 (re-export)
+from .berezin import BerezinConfig, berezin_quantize
 from .coherent import PhasePoint, Window, WeylSystem
 from .fields import Field, XiSamples
 from .grids import Grid, XiGrid

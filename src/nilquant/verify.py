@@ -712,13 +712,16 @@ def suite_convergence(seed: int = 12, tol_scale: float = 1.0) -> list[CheckResul
     of the orthogonality, inversion and Berezin-core checks by at least 2x.
 
     The default N=128 grids already sit at the roundoff floor, where halving
-    is vacuous; the coarse start keeps the error quadrature-limited.
+    is vacuous; the coarse start keeps the error quadrature-limited.  Each
+    grid's dual box scales with it, at 0.95 of its Nyquist band pi/h, so the
+    residuals measure quadrature error and not aliasing.
     """
     results = []
 
     def residuals(N):
         rng = np.random.default_rng(seed)
-        alg, grid, xi, w = line_setup(L=8.0, N=N)
+        alg, grid, _, w = line_setup(L=8.0, N=N)
+        xi = XiGrid.box(1, 8.0, N, dual_half_width=0.95 * math.pi / grid.spacing[0])
         r4 = _orthogonality_residual(alg, grid, xi, rng, 1, 0.5, 0.5)
         u = random_gaussian(rng, 1, 0.5, 0.5)
         r5 = _inversion_residual(alg, grid, xi, w, u)

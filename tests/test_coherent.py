@@ -265,6 +265,14 @@ def test_dual_box_inside_nyquist_band_is_silent():
         bargmann_adjoint(alg, w, bu, grid.nodes())
 
 
+@pytest.mark.parametrize("setup", ["line_setup", "plane_setup", "heisenberg_setup"])
+def test_default_verify_grids_are_inside_the_nyquist_band(setup):
+    from nilquant import verify
+    _, grid, xi, _ = getattr(verify, setup)()
+    for half, h in zip(xi.dual_grid.half_width, grid.spacing):
+        assert half <= math.pi / h
+
+
 def test_parse_config_accepts_dual_box_past_nyquist_band():
     from nilquant.config import parse_config
     cfg = parse_config({"group": "heisenberg:1",

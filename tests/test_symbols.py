@@ -46,7 +46,8 @@ def test_gaussian_pair_exponent_consistent():
     z = rng.uniform(-1, 1, 2)
     P = rng.uniform(-1, 1, (4, 2))
     Q = rng.uniform(-1, 1, (3, 2))
-    pref, row, col, cross = sym.hat2_pair_exponent(z, P, Q)
+    pref, row, col, Xs, Qf = sym.hat2_pair_exponent(z, P, Q)
+    cross = Xs @ Qf.T
     rebuilt = pref * np.exp(row[:, None] + col[None, :] - cross)
     slow = np.array([[sym.hat2(z, P[i] - Q[j]) for j in range(3)] for i in range(4)])
     assert np.max(np.abs(rebuilt - slow)) < 1e-13
