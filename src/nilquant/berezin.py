@@ -17,6 +17,12 @@ transform exponent at V = log(zx) - log(zy) is a row term plus a column term
 minus a real cross term of rank n, so each z-node costs one (n+2)-deep
 matrix product for the whole real exponent, one real matrix exp and a
 complex outer scaling by unit phase vectors (see `assemble_kernel`).
+The z nodes are taken in chunks of about `CHUNK_ENTRIES` kernel entries:
+one call of the row data (BCH product, window, phase points, dressing) and
+of the pair exponent per chunk, and one stacked matmul per row block, while
+each node still adds its own term, so the sum runs in node order.  Small
+kernels (a 1 x k row) fit their whole quadrature in one chunk; kernels of
+2^16 entries or more take one node at a time.
 
 For fixed z and real f the (x, y) matrix of the integrand is Hermitian, and
 positive semidefinite when f >= 0, hence the assembled kernel is PSD up to
@@ -90,6 +96,11 @@ def berezin_weak(cfg: BerezinConfig, u: Field, v: Field) -> complex:
 # Kernel assembly
 # ---------------------------------------------------------------------------
 
+#: Kernel entries (nodes x rows x columns) per chunk of z nodes in
+#: `assemble_kernel`; its exponent and term buffers take 24 bytes per entry.
+CHUNK_ENTRIES = 1 << 16
+
+
 def _row_blocks(m: int) -> list[int]:
     """Row boundaries of the upper-triangle blocks [r0, r1) x [r0, m) of an
     m x m Hermitian kernel: one block below 128 rows, else m // 64 of them
@@ -100,14 +111,40 @@ def _row_blocks(m: int) -> list[int]:
     return [round(m * (1.0 - math.sqrt(1.0 - k / b))) for k in range(b + 1)]
 
 
+def _chunk_exponent(symbol: XiSymbol, z, row_data, col_data):
+    """The symbol's (prefactor, row, col, Xs, Qf) at one node or a chunk of
+    them (`XiSymbol.hat2_pair_exponent`), with the row and column window
+    factors folded into row and col through their logs.  A function of its
+    own so that the row and column data are freed before the chunk's blocks
+    are accumulated."""
+    P, G = row_data(z)
+    Q, H = (P, G) if col_data is None else col_data(z)
+    pref, row, col, Xs, Qf = symbol.hat2_pair_exponent(z, P, Q)
+    with np.errstate(divide="ignore"):
+        row = row + np.log(np.asarray(G, dtype=complex))
+        col = col + np.conjugate(np.log(np.asarray(H, dtype=complex)))
+    return pref, row, col, Xs, Qf
+
+
 def assemble_kernel(symbol: XiSymbol, z_nodes: np.ndarray, z_weight: float,
                     row_data, col_data=None) -> np.ndarray:
     """K[i,j] = z_weight * sum_z hat2(z, P_z[i] - Q_z[j]) G_z[i] conj(H_z[j]).
 
-    ``row_data(z) -> (P, G)`` supplies, for one quadrature node z, the
-    transformed points P (m, n) and the scalar factors G (m,) attached to the
-    row argument; ``col_data`` likewise for columns (defaults to the rows).
-    This one loop serves the plain, ordering-twisted and magnetic variants.
+    ``row_data(z) -> (P, G)`` supplies the transformed points P and the
+    scalar factors G attached to the row argument; ``col_data`` likewise for
+    columns (defaults to the rows).  It is called with one node z of shape
+    (n,), returning P (m, n) and G (m,), or with a chunk of c nodes as z of
+    shape (c, 1, n), returning P (c, m, n) and G (c, m), so it must broadcast
+    over leading axes.  This one loop serves the plain, ordering-twisted and
+    magnetic variants.
+
+    The nodes are taken in chunks: the first node alone, which fixes m and
+    k, then ``max(1, CHUNK_ENTRIES // (m * k))`` nodes at a time.  A chunk
+    costs one ``row_data`` (and ``col_data``) call and one
+    ``hat2_pair_exponent`` call; each node of it still adds its own term,
+    so every entry sums its z terms in node order and the result is the
+    node-by-node sum.  The buffers hold min(chunk, len(z_nodes)) nodes and
+    are allocated once; at m * k >= CHUNK_ENTRIES a chunk is a single node.
 
     The symbol supplies its transform exponent in row + col - cross form
     with the cross term as two rank-n factors, cross = Xs @ Qf.T
@@ -118,54 +155,65 @@ def assemble_kernel(symbol: XiSymbol, z_nodes: np.ndarray, z_weight: float,
         exp(Re row_i + Re col_j - cross_ij) * e^{i Im row_i} * e^{i Im col_j},
 
     and the real exponent of a block of entries is one matrix product
-    U @ V.T with U = [-Xs, Re row, 1] and V = [Qf, 1, Re col]: per node and
-    block one n+2-deep matmul, one real exp, and one complex outer scaling
-    by unit phase vectors (the prefactor rides on the row one) into the
-    block's accumulator.  The real matrix is exactly the real part of the
-    full complex exponent up to rounding, so it overflows and underflows
-    where that would; a zero window value (log 0 = -inf) gives a zero entry.
+    U @ V.T with U = [-Xs, Re row, 1] and V = [Qf, 1, Re col]: per chunk and
+    block one stacked n+2-deep matmul, one real exp, and one complex outer
+    scaling by unit phase vectors (the prefactor rides on the row one).  The
+    real matrix is exactly the real part of the full complex exponent up to
+    rounding, so it overflows and underflows where that would; a zero window
+    value (log 0 = -inf) gives a zero entry.
 
     When the columns are the rows (``col_data`` is None) and the symbol is
     real (``XiSymbol.real``), every node's term is Hermitian, so only the
     upper-triangle row blocks [r0, r1) x [r0, m) are accumulated, each in its
     own contiguous buffer (`_row_blocks`); the lower triangle is mirrored
     once at the end and the diagonal made real, so K == K^H exactly.
-    Otherwise the whole (m, k) matrix is the one block.  Either way each
-    entry sums its z terms in node order.
+    Otherwise the whole (m, k) matrix is the one block.
     """
     half = col_data is None and symbol.real
-    spans = accs = None
-    for z in z_nodes:
-        P, G = row_data(z)
-        Q, H = (P, G) if col_data is None else col_data(z)
-        pref, row, col, Xs, Qf = symbol.hat2_pair_exponent(z, P, Q)
-        with np.errstate(divide="ignore"):
-            row = row + np.log(np.asarray(G, dtype=complex))
-            col = col + np.conjugate(np.log(np.asarray(H, dtype=complex)))
-        (m, n), k = Xs.shape, len(Qf)
-        U = np.empty((m, n + 2))
-        np.negative(Xs, out=U[:, :n])
-        U[:, n] = row.real
-        U[:, n + 1] = 1.0
-        V = np.empty((k, n + 2))
-        V[:, :n] = Qf
-        V[:, n] = 1.0
-        V[:, n + 1] = col.real
-        rphase = pref * np.exp(1j * row.imag)
-        cphase = np.exp(1j * col.imag)
-        if accs is None:
+    z_nodes = np.asarray(z_nodes, float)
+    start, chunk = 0, 1
+    while start < len(z_nodes):
+        c = min(chunk, len(z_nodes) - start)
+        z = z_nodes[start] if c == 1 else z_nodes[start:start + c, None, :]
+        pref, row, col, Xs, Qf = _chunk_exponent(symbol, z, row_data, col_data)
+        if start == 0:
+            (m, n), k = Xs.shape[-2:], Qf.shape[-2]
+            chunk = max(1, CHUNK_ENTRIES // (m * k))
+            size = min(chunk, len(z_nodes))
+            U = np.empty((size, m, n + 2))
+            U[..., n + 1] = 1.0
+            V = np.empty((size, k, n + 2))
+            V[..., n] = 1.0
+            R = np.empty((size, m), dtype=complex)
+            C = np.empty((size, k), dtype=complex)
             bounds = _row_blocks(m) if half else [0, m]
             spans = [(r0, r1, r0 if half else 0) for r0, r1 in zip(bounds, bounds[1:])]
             shapes = [(r1 - r0, k - c0) for r0, r1, c0 in spans]
-            rexps = [np.empty(s) for s in shapes]
-            terms = [np.empty(s, dtype=complex) for s in shapes]
+            # per-chunk views, made once: a short last chunk takes their first c nodes
+            inputs = (U[..., :n], U[..., n], V[..., :n], V[..., n + 1], R, C)
+            blocks = [(U[:, r0:r1], V[:, c0:].transpose(0, 2, 1), R[:, r0:r1, None],
+                       C[:, None, c0:], np.empty((size,) + s),
+                       np.empty((size,) + s, dtype=complex))
+                      for (r0, r1, c0), s in zip(spans, shapes)]
             accs = [np.zeros(s, dtype=complex) for s in shapes]
-        for (r0, r1, c0), rexp, term, acc in zip(spans, rexps, terms, accs):
-            np.matmul(U[r0:r1], V[c0:].T, out=rexp)
+        u_x, u_row, v_q, v_col, rphase, cphase = (
+            inputs if c == size else (a[:c] for a in inputs))
+        np.negative(Xs, out=u_x)
+        u_row[...] = row.real
+        v_q[...] = Qf
+        v_col[...] = col.real
+        np.multiply(pref, np.exp(1j * row.imag), out=rphase)
+        np.exp(1j * col.imag, out=cphase)
+        for views, acc in zip(blocks, accs):
+            u, vt, rph, cph, rexp, term = views if c == size else (a[:c] for a in views)
+            np.matmul(u, vt, out=rexp)
             np.exp(rexp, out=rexp)
-            np.multiply(rexp, rphase[r0:r1, None], out=term)
-            term *= cphase[None, c0:]
-            acc += term
+            np.multiply(rexp, rph, out=term)
+            term *= cph
+            for t in term:  # node by node, so each entry sums its z terms in order
+                acc += t
+        start += c
+    del blocks  # frees the chunk buffers before the mirrored kernel is built
     if half:
         K = np.empty((m, m), dtype=complex)
         for (r0, r1, c0), acc in zip(spans, accs):

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import MAX_BCH_DEPTH, AlgebraError, LieAlgebra, preset, validate_algebra
-from .coherent import Window, make_window
-from .fields import Field
+from .coherent import Window
+from .fields import Field, gaussian
 from .grids import Grid, XiGrid
 from .magnetic import potential_preset
 from .operators import KERNEL_SAMPLE_GUARD
@@ -151,15 +151,18 @@ def _build_symbol(spec, n, problems) -> XiSymbol | None:
             if keys - allowed:
                 problems.append(f"unknown symbol keys: {sorted(keys - allowed)}")
             return GaussianSymbol.make(n, **{k: spec[k] for k in keys & allowed})
-        if kind == "delta":
-            return DeltaSymbol.at(spec.get("z", [0.0] * n), spec.get("zeta", [0.0] * n),
-                                  spec.get("mass", 1.0))
-        if kind == "phase":
-            return PhaseSymbol.at(spec.get("z", [0.0] * n), spec.get("zeta", [0.0] * n))
+        if kind in ("delta", "phase"):
+            point = (spec.get("z", [0.0] * n), spec.get("zeta", [0.0] * n))
+            symbol = (DeltaSymbol.at(*point, spec.get("mass", 1.0)) if kind == "delta"
+                      else PhaseSymbol.at(*point))
+            if symbol.n != n:
+                problems.append(f"bad symbol: z and zeta have {symbol.n} components, "
+                                f"the group has dimension {n}")
+                return None
+            return symbol
         if kind == "one":
             return XOnlySymbol(Field(lambda p: np.ones(p.shape[:-1]), n), n)
         if kind == "x_gaussian":
-            from .fields import gaussian
             return XOnlySymbol(gaussian(n, spec.get("sigma", 1.0), spec.get("center"),
                                         amplitude=spec.get("amplitude", 1.0)), n)
         if kind == "xi_gaussian":
@@ -221,6 +224,10 @@ def parse_config(text: str | dict) -> ExperimentConfig:
     unknown = set(window_spec) - {"sigma", "center"}
     if unknown:
         problems.append(f"unknown window keys: {sorted(unknown)}")
+    try:
+        window_field = gaussian(n, window_spec.get("sigma", 1.0), window_spec.get("center"))
+    except (ValueError, TypeError) as exc:
+        problems.append(f"bad window: {exc}")
 
     symbol = _build_symbol(raw.get("symbol"), n, problems)
 
@@ -252,9 +259,11 @@ def parse_config(text: str | dict) -> ExperimentConfig:
     if problems:
         raise ConfigError(problems)
 
+    try:
+        window = Window.normalized(window_field, g_grid)
+    except ValueError as exc:  # the window vanishes at every grid node
+        raise ConfigError([f"bad window: {exc}"]) from None
     xi_grid = XiGrid(xi_g, xi_d)
-    window = make_window(alg, g_grid, sigma=window_spec.get("sigma", 1.0),
-                         center=window_spec.get("center"))
     return ExperimentConfig(alg, g_grid, xi_grid, window, symbol, scheme,
                             tau_name, potential_name, int(seed), float(tol_scale),
                             list(suite), raw.get("out"), raw)

@@ -142,13 +142,24 @@ def gaussian(n: int, sigma=1.0, center=None, modulation=None,
 
         amplitude * exp(-|x - center|^2 / (2 sigma^2)) * exp(i <x | modulation>)
 
-    With the default amplitude the field has unit L2 norm on R^n.
+    With the default amplitude the field has unit L2 norm on R^n.  Raises
+    ValueError for a width that is not finite and positive, a center that is
+    not finite or not n components, and a modulation or amplitude that is
+    not finite.
     """
     sig = np.broadcast_to(np.asarray(sigma, float), (n,)).copy()
     c = np.zeros(n) if center is None else np.asarray(center, float)
     m = np.zeros(n) if modulation is None else np.asarray(modulation, float)
+    if c.shape not in ((), (n,)):
+        raise ValueError(f"Gaussian center must have {n} components, got shape {c.shape}")
+    if not (np.all(np.isfinite(sig)) and np.all(sig > 0)):
+        raise ValueError(f"Gaussian widths must be finite and positive, got {sig.tolist()}")
+    if not (np.all(np.isfinite(c)) and np.all(np.isfinite(m))):
+        raise ValueError("Gaussian centers and modulations must be finite")
     if amplitude is None:
         amplitude = math.pi ** (-n / 4.0) / math.sqrt(float(np.prod(sig)))
+    elif not np.isfinite(amplitude):
+        raise ValueError(f"Gaussian amplitude must be finite, got {amplitude}")
 
     def fn(p):
         d = (p - c) / sig

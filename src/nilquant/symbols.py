@@ -18,7 +18,10 @@ The quadratic exponents arising from Gaussian transforms evaluated at
 V = P_i - Q_j split as row + column - cross terms with a real cross term of
 rank n, returned as its two factors (cross = Xs @ Q.T); the (i, j) matrix of
 transform values then costs one small matrix product, one real exp and two
-unit phase vectors, the hot path of every Berezin-type assembly.
+unit phase vectors, the hot path of every Berezin-type assembly.  The split
+broadcasts over a leading axis of z nodes (x of shape (c, 1, n), P and Q of
+shapes (c, m, n) and (c, k, n)), so an assembly evaluates a whole chunk of
+nodes in one call (`berezin.assemble_kernel`).
 """
 
 from __future__ import annotations
@@ -46,6 +49,17 @@ def _vec(value, n) -> np.ndarray:
     return out
 
 
+def _phase_point(z, zeta) -> tuple[np.ndarray, np.ndarray]:
+    """(z, zeta) as finite 1-d arrays of one length."""
+    z, zeta = np.atleast_1d(np.asarray(z, float)), np.atleast_1d(np.asarray(zeta, float))
+    if z.ndim != 1 or z.shape != zeta.shape:
+        raise SymbolError(f"z and zeta must be vectors of one length, got {z.shape} and "
+                          f"{zeta.shape}")
+    if not (np.all(np.isfinite(z)) and np.all(np.isfinite(zeta))):
+        raise SymbolError("z and zeta must be finite")
+    return z, zeta
+
+
 def _pair_exponent(sigma: np.ndarray, center: np.ndarray, phase: np.ndarray,
                    P: np.ndarray, Q: np.ndarray):
     """Split the Gaussian-transform exponent at V = P_i - Q_j into
@@ -55,13 +69,15 @@ def _pair_exponent(sigma: np.ndarray, center: np.ndarray, phase: np.ndarray,
 
     so the (i, j) matrix of exponents is row[:, None] + col[None, :] - cross
     with cross = Xs @ Q.T; the factors (Xs, Q) are returned, not the product.
+    P (..., m, n) and Q (..., k, n) may carry the same leading axes (a chunk
+    of z nodes); row, col, Xs and Q then carry them too.
     """
     s2 = sigma ** 2
-    A = phase[None, :] - np.asarray(P, float)
+    A = phase - np.asarray(P, float)
     Q = np.asarray(Q, float)
-    row = -0.5 * np.einsum("ik,k,ik->i", A, s2, A) + 1j * (A @ center)
-    col = -0.5 * np.einsum("jk,k,jk->j", Q, s2, Q) + 1j * (Q @ center)
-    return row, col, A * s2[None, :], Q
+    row = -0.5 * np.einsum("...k,k,...k->...", A, s2, A) + 1j * (A @ center)
+    col = -0.5 * np.einsum("...k,k,...k->...", Q, s2, Q) + 1j * (Q @ center)
+    return row, col, A * s2, Q
 
 
 @dataclass(frozen=True)
@@ -121,7 +137,12 @@ class XiSymbol:
 
     def hat2_pair_exponent(self, x, P, Q):
         """(prefactor, row, col, Xs, Qf) with hat2(x, P_i - Q_j) =
-        prefactor * exp(row_i + col_j - cross_ij), cross = Xs @ Qf.T real."""
+        prefactor * exp(row_i + col_j - cross_ij), cross = Xs @ Qf.T real.
+
+        x is one point (n,) with P (m, n) and Q (k, n), or a chunk of c points
+        (c, 1, n) with P (c, m, n) and Q (c, k, n); the outputs then carry the
+        leading c axis, and the prefactor is a complex for one point and
+        broadcasts against row (c, m) for a chunk."""
         raise SymbolError(f"{type(self).__name__} has no closed-form pair transform")
 
     @property
@@ -178,15 +199,18 @@ class GaussianSymbol(XiSymbol):
 
     def hat2_pair_exponent(self, x, P, Q):
         """(prefactor, row, col, Xs, Qf) with hat2(x, P_i - Q_j) =
-        prefactor * exp(row_i + col_j - (Xs @ Qf.T)_ij); x must be a single
-        point.
+        prefactor * exp(row_i + col_j - (Xs @ Qf.T)_ij), for one point x or a
+        chunk of them (`XiSymbol.hat2_pair_exponent`); the prefactor is a
+        complex for one point and a (c, 1) array for a chunk.
 
         Kernel assemblies fold window factors and quadrature weights into the
-        row/col vectors and exponentiate in place — the per-node hot path.
+        row/col vectors and exponentiate in place — the per-chunk hot path.
         """
-        pref = self._prefactor() * complex(self.gx(np.asarray(x, float)))
-        return (pref,) + _pair_exponent(self.gxi.sigma, self.gxi.center,
-                                        self.gxi.phase, P, Q)
+        # one ufunc product for one point or a chunk, so that the two agree
+        # bitwise (a product of Python complex numbers may round otherwise)
+        pref = np.multiply(self._prefactor(), self.gx(np.asarray(x, float)))
+        return (complex(pref) if np.ndim(pref) == 0 else pref,) + _pair_exponent(
+            self.gxi.sigma, self.gxi.center, self.gxi.phase, P, Q)
 
     @property
     def real(self) -> bool:
@@ -288,8 +312,12 @@ class DeltaSymbol(XiSymbol):
 
     @classmethod
     def at(cls, z, zeta, mass: float = 1.0) -> "DeltaSymbol":
-        return cls(np.atleast_1d(np.asarray(z, float)),
-                   np.atleast_1d(np.asarray(zeta, float)), float(mass))
+        """Raises `SymbolError` for non-finite or unequal-length z and zeta,
+        or a non-finite mass."""
+        mass = float(mass)
+        if not math.isfinite(mass):
+            raise SymbolError(f"point mass must be finite, got {mass}")
+        return cls(*_phase_point(z, zeta), mass)
 
     @property
     def n(self) -> int:
@@ -319,8 +347,8 @@ class PhaseSymbol(XiSymbol):
 
     @classmethod
     def at(cls, z, zeta) -> "PhaseSymbol":
-        return cls(np.atleast_1d(np.asarray(z, float)),
-                   np.atleast_1d(np.asarray(zeta, float)))
+        """Raises `SymbolError` for non-finite or unequal-length z and zeta."""
+        return cls(*_phase_point(z, zeta))
 
     @property
     def n(self) -> int:

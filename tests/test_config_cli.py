@@ -245,6 +245,22 @@ def test_cli_config_error_exit_code(tmp_path):
     ({"potential": 5}, "bad potential"),
     ({**H1_SMALL, "potential": "linear3:nan"}, "bad potential"),
     ({**H1_SMALL, "potential": "landau:1"}, "bad potential"),
+    ({"window": {"sigma": float("nan")}}, "bad window"),
+    ({"window": {"sigma": 0}}, "bad window"),
+    ({"window": {"sigma": -1}}, "bad window"),
+    ({"window": {"sigma": "wide"}}, "bad window"),
+    ({"group": "abelian:2", "window": {"center": [0, float("nan")]}}, "bad window"),
+    ({"window": {"center": [0.0, 1.0]}}, "bad window"),
+    ({"window": {"sigma": 1e-200}}, "bad window: window has zero quadrature norm"),
+    ({"symbol": {"kind": "x_gaussian", "sigma": float("nan")}}, "bad symbol"),
+    ({"symbol": {"kind": "x_gaussian", "sigma": 0}}, "bad symbol"),
+    ({"symbol": {"kind": "x_gaussian", "amplitude": float("nan")}}, "bad symbol"),
+    ({"symbol": {"kind": "x_gaussian", "center": [float("nan")]}}, "bad symbol"),
+    ({"symbol": {"kind": "delta", "mass": float("nan")}}, "bad symbol"),
+    ({"symbol": {"kind": "delta", "z": [float("nan")]}}, "bad symbol"),
+    ({"symbol": {"kind": "delta", "z": [0.0, 1.0]}}, "bad symbol"),
+    ({"symbol": {"kind": "delta", "z": [0.0, 1.0], "zeta": [0.0, 1.0]}}, "bad symbol"),
+    ({"symbol": {"kind": "phase", "zeta": [float("inf")]}}, "bad symbol"),
 ])
 def test_parse_reports_bad_specs(spec, problem):
     with pytest.raises(ConfigError, match=problem):
@@ -284,6 +300,32 @@ def test_cli_bad_brackets_and_non_finite_values_exit_2(tmp_path, spec):
     assert main(["quantize", "--config", str(path), "--out", str(tmp_path / "q")]) == 2
     assert main(["verify", "--config", str(path)]) == 2
     assert not (tmp_path / "q").exists()
+
+
+@pytest.mark.parametrize("spec", [
+    {"window": {"sigma": float("nan")}},
+    {"window": {"sigma": 0}},
+    {"window": {"sigma": -1}},
+    {"group": "abelian:2", "window": {"center": [0, float("nan")]}},
+    {"symbol": {"kind": "x_gaussian", "sigma": 0}},
+    {"symbol": {"kind": "x_gaussian", "amplitude": float("nan")}},
+    {"symbol": {"kind": "delta", "mass": float("nan")}},
+    {"symbol": {"kind": "delta", "z": [0.0, 1.0], "zeta": [0.0, 1.0]}},
+    {"symbol": {"kind": "phase", "zeta": [float("inf")]}},
+])
+def test_cli_bad_window_and_point_symbols_exit_2(tmp_path, spec):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**SMALL, **spec}))  # NaN / Infinity literals
+    assert main(["quantize", "--config", str(path), "--out", str(tmp_path / "q")]) == 2
+    assert main(["verify", "--config", str(path)]) == 2
+    assert not (tmp_path / "q").exists()
+
+
+def test_parse_accepts_valid_window_and_point_symbols():
+    cfg = parse_config({**SMALL, "window": {"sigma": [0.5], "center": [0.3]},
+                        "symbol": {"kind": "delta", "z": [0.5], "zeta": [-0.2], "mass": 2.0}})
+    assert cfg.window.raw_norm > 0 and cfg.symbol.mass == 2.0
+    assert parse_config({**SMALL, "symbol": {"kind": "phase", "zeta": [0.3]}}).symbol.n == 1
 
 
 def test_parse_accepts_tau_and_potential_presets():

@@ -1,15 +1,18 @@
-"""Kernel assembly against the fused complex-exp loop it replaced, on H1 and
-the line, for the plain, tau-ordered and magnetic quantizers and the
-covariance points, including off-centre, underflowing and vanishing windows:
-the real-exponential split of complex symbols (one full block) and the
-Hermitian half of real ones (upper-triangle blocks, mirrored)."""
+"""Kernel assembly against the loops it replaced, on H1 and the line, for the
+plain, tau-ordered and magnetic quantizers and the covariance points,
+including off-centre, underflowing and vanishing windows: the real-
+exponential split of complex symbols (one full block) and the Hermitian half
+of real ones (upper-triangle blocks, mirrored) against the fused complex-exp
+loop, and the chunks of z nodes against the per-node loop."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from nilquant import berezin
 from nilquant.algebra import abelian, heisenberg
-from nilquant.berezin import (BerezinConfig, _row_blocks, assemble_kernel,
+from nilquant.berezin import (CHUNK_ENTRIES, BerezinConfig, _row_blocks, assemble_kernel,
                               berezin_kernel_points, berezin_matrix)
 from nilquant.coherent import Window, make_window
 from nilquant.fields import Field, gaussian
@@ -44,6 +47,55 @@ def fused_complex_exp(symbol, z_nodes, z_weight, row_data, col_data=None):
         np.exp(buf, out=buf)
         buf *= pref
         K += buf
+    K *= z_weight
+    return K
+
+
+def per_node_split(symbol, z_nodes, z_weight, row_data, col_data=None):
+    """The loop assemble_kernel ran before z nodes were chunked: the same
+    real-exponential split and Hermitian half, one node at a time."""
+    half = col_data is None and symbol.real
+    spans = accs = None
+    for z in z_nodes:
+        P, G = row_data(z)
+        Q, H = (P, G) if col_data is None else col_data(z)
+        pref, row, col, Xs, Qf = symbol.hat2_pair_exponent(z, P, Q)
+        with np.errstate(divide="ignore"):
+            row = row + np.log(np.asarray(G, dtype=complex))
+            col = col + np.conjugate(np.log(np.asarray(H, dtype=complex)))
+        (m, n), k = Xs.shape, len(Qf)
+        U = np.empty((m, n + 2))
+        np.negative(Xs, out=U[:, :n])
+        U[:, n] = row.real
+        U[:, n + 1] = 1.0
+        V = np.empty((k, n + 2))
+        V[:, :n] = Qf
+        V[:, n] = 1.0
+        V[:, n + 1] = col.real
+        rphase = pref * np.exp(1j * row.imag)
+        cphase = np.exp(1j * col.imag)
+        if accs is None:
+            bounds = _row_blocks(m) if half else [0, m]
+            spans = [(r0, r1, r0 if half else 0) for r0, r1 in zip(bounds, bounds[1:])]
+            shapes = [(r1 - r0, k - c0) for r0, r1, c0 in spans]
+            rexps = [np.empty(s) for s in shapes]
+            terms = [np.empty(s, dtype=complex) for s in shapes]
+            accs = [np.zeros(s, dtype=complex) for s in shapes]
+        for (r0, r1, c0), rexp, term, acc in zip(spans, rexps, terms, accs):
+            np.matmul(U[r0:r1], V[c0:].T, out=rexp)
+            np.exp(rexp, out=rexp)
+            np.multiply(rexp, rphase[r0:r1, None], out=term)
+            term *= cphase[None, c0:]
+            acc += term
+    if half:
+        K = np.empty((m, m), dtype=complex)
+        for (r0, r1, c0), acc in zip(spans, accs):
+            K[r0:r1, c0:] = acc
+        lower = np.tril_indices(m, -1)
+        K[lower] = np.conjugate(K.T[lower])
+        K.flat[::m + 1] = K.diagonal().real
+    else:
+        K = accs[0]
     K *= z_weight
     return K
 
@@ -121,14 +173,18 @@ def quantize(cfg, scheme):
         # columns at once
         z = np.linspace(0.3, -0.4, cfg.algebra.dim)
         return berezin_kernel_points(cfg, cfg.algebra.bch(z, cfg.g_grid.nodes()))
+    if scheme == "row":
+        # one row point against every column: a 1 x k kernel
+        x = cfg.g_grid.nodes()
+        return berezin_kernel_points(cfg, x[:1] + 0.1, x)
     if scheme == "tau":
         return berezin_tau(cfg, symmetric_tau(cfg.algebra)).kernel
     return mag_berezin(cfg, POTENTIALS[cfg.algebra.dim]).kernel
 
 
-def reference(cfg, scheme, monkeypatch):
+def reference(cfg, scheme, monkeypatch, loop=fused_complex_exp):
     with monkeypatch.context() as m:
-        m.setattr(berezin, "assemble_kernel", fused_complex_exp)
+        m.setattr(berezin, "assemble_kernel", loop)
         return quantize(cfg, scheme)
 
 
@@ -306,3 +362,160 @@ def test_symbols_without_pair_exponent_raise_symbol_error(symbol):
     cfg = BerezinConfig(alg, make_window(alg, grid), grid, xi, symbol)
     with pytest.raises(SymbolError):
         berezin_kernel_points(cfg, grid.nodes())
+
+
+# -- chunks of z nodes against the per-node loop --------------------------------
+
+def translated_symbol(n):
+    alg = GROUPS["heisenberg:1" if n == 3 else "abelian:1"]()[0]
+    return TranslatedSymbol(real_off_centre_symbol(n), alg, np.linspace(0.4, -0.3, n))
+
+
+def xi_only_symbol(n):
+    return XiOnlySymbol.gaussian(n, center=np.linspace(0.3, -0.2, n), sigma=0.8)
+
+
+# the prefactor of these is real, so a chunk's terms are bitwise the
+# per-node ones; a complex prefactor may round its product differently
+BITWISE_SYMBOLS = {"real": real_off_centre_symbol, "translated": translated_symbol,
+                   "xi_only": xi_only_symbol}
+CHUNK_SYMBOLS = {"complex": off_centre_symbol, **BITWISE_SYMBOLS}
+CHUNK_SCHEMES = ["plain", "points", "covariance", "row", "tau", "magnetic"]
+
+
+@pytest.mark.parametrize("group", sorted(GROUPS))
+@pytest.mark.parametrize("window", sorted(WINDOWS))
+@pytest.mark.parametrize("scheme", CHUNK_SCHEMES)
+@pytest.mark.parametrize("kind", sorted(CHUNK_SYMBOLS))
+def test_chunks_match_per_node_loop(group, window, scheme, kind, monkeypatch):
+    cfg = config(group, window, CHUNK_SYMBOLS[kind])
+    K = quantize(cfg, scheme)
+    ref = reference(cfg, scheme, monkeypatch, per_node_split)
+    assert K.shape == ref.shape
+    assert np.all(np.isfinite(K))
+    assert np.max(np.abs(ref)) > 0
+    assert relative_gap(K, ref) <= TOL
+    if kind in BITWISE_SYMBOLS:
+        assert np.array_equal(K, ref)
+
+
+def recording(row_data, shapes):
+    def row(z):
+        shapes.append(np.shape(z))
+        return row_data(z)
+    return row
+
+
+def plain_row(alg, window, points):
+    def row(z):
+        zx = alg.bch(z, points)
+        return zx, window(zx)
+    return row
+
+
+@pytest.mark.parametrize("group", sorted(GROUPS))
+def test_first_node_alone_then_chunks_of_the_rule(group):
+    """The first node alone, then max(1, CHUNK_ENTRIES // (m k)) nodes at a
+    time, with a short last chunk (the node count is no multiple of it)."""
+    cfg = config(group, "off_centre", real_off_centre_symbol)
+    alg, x = cfg.algebra, cfg.g_grid.nodes()
+    z_nodes, z_w = cfg.z_quadrature()
+    m, n, total = len(x), alg.dim, len(z_nodes)
+    chunk = CHUNK_ENTRIES // (m * m)
+    assert 1 < chunk and (total - 1) % chunk != 0
+    shapes = []
+    row = plain_row(alg, cfg.window, x)
+    K = assemble_kernel(cfg.symbol, z_nodes, z_w, recording(row, shapes))
+    full, rest = divmod(total - 1, chunk)
+    assert shapes == [(n,)] + [(chunk, 1, n)] * full + [(rest, 1, n)]
+    assert np.array_equal(K, per_node_split(cfg.symbol, z_nodes, z_w, row))
+
+
+@pytest.mark.parametrize("group", sorted(GROUPS))
+def test_last_chunk_of_one_node(group):
+    """A last chunk of one node is passed as a single node (n,), like the first."""
+    cfg = config(group, "off_centre")
+    alg, x = cfg.algebra, cfg.g_grid.nodes()
+    chunk = CHUNK_ENTRIES // len(x) ** 2
+    z_nodes, z_w = cfg.z_quadrature()[0][:chunk + 2], cfg.z_quadrature()[1]
+    shapes = []
+    row = plain_row(alg, cfg.window, x)
+    K = assemble_kernel(cfg.symbol, z_nodes, z_w, recording(row, shapes))
+    assert shapes == [(alg.dim,), (chunk, 1, alg.dim), (alg.dim,)]
+    assert relative_gap(K, per_node_split(cfg.symbol, z_nodes, z_w, row)) <= TOL
+
+
+def test_one_pair_exponent_call_per_chunk(monkeypatch):
+    alg, grid, xi = line_grids()
+    window = make_window(alg, grid)
+    x = grid.nodes()
+    z_nodes, z_w = xi.g_grid.nodes(), xi.g_grid.weight
+    symbol = real_off_centre_symbol(1)
+    calls = []
+    pair = GaussianSymbol.hat2_pair_exponent
+
+    def counted(self, z, P, Q):
+        calls.append(np.shape(z))
+        return pair(self, z, P, Q)
+
+    monkeypatch.setattr(GaussianSymbol, "hat2_pair_exponent", counted)
+    # a 1 x 48 row: 1536 nodes fit in one chunk, so the 32 nodes take two calls
+    assemble_kernel(symbol, z_nodes, z_w, plain_row(alg, window, x[:1]),
+                    plain_row(alg, window, x))
+    assert calls == [(1,), (31, 1, 1)]
+
+
+@pytest.mark.parametrize("kind", sorted(CHUNK_SYMBOLS))
+def test_one_node_per_chunk_at_large_m(kind):
+    """m * m >= CHUNK_ENTRIES: every call sees a single node of shape (n,)."""
+    alg = abelian(1)
+    grid = Grid.box(1, 8.0, 256)
+    window = make_window(alg, grid, sigma=0.8, center=[0.9])
+    assert CHUNK_ENTRIES // grid.size ** 2 == 1
+    z_grid = Grid.box(1, 8.0, 7)
+    symbol = CHUNK_SYMBOLS[kind](1)
+    shapes = []
+    row = plain_row(alg, window, grid.nodes())
+    K = assemble_kernel(symbol, z_grid.nodes(), z_grid.weight, recording(row, shapes))
+    ref = per_node_split(symbol, z_grid.nodes(), z_grid.weight, row)
+    assert shapes == [(1,)] * 7
+    assert relative_gap(K, ref) <= TOL
+    if kind in BITWISE_SYMBOLS:
+        assert np.array_equal(K, ref)
+
+
+def traced_peak(assemble, *args):
+    tracemalloc.start()
+    try:
+        assemble(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_h1_one_node_chunks_peak_no_higher_than_per_node_loop(kind):
+    """At m = 343 a chunk is one node: the Hermitian half (real symbol) and the
+    full block (complex symbol) need no more memory than the per-node loop."""
+    alg = heisenberg()
+    grid, z_grid = Grid.box(3, 4.5, 7), Grid.box(3, 3.5, 3)
+    window = make_window(alg, grid)
+    symbol = CHUNK_SYMBOLS[kind](3)
+    row = plain_row(alg, window, grid.nodes())
+    args = (symbol, z_grid.nodes(), z_grid.weight, row)
+    assert CHUNK_ENTRIES // grid.size ** 2 < 1
+    assert traced_peak(assemble_kernel, *args) <= traced_peak(per_node_split, *args)
+
+
+@pytest.mark.parametrize("nodes", [1024, 8192])
+def test_line_row_chunk_memory_is_bounded(nodes):
+    """A 1 x 128 row takes 512 nodes per chunk; its peak stays under
+    8 CHUNK_ENTRIES * 24 bytes however many nodes there are (all 8192 nodes
+    at once would need 25 MB of exponent and term buffers alone)."""
+    alg = abelian(1)
+    grid, z_grid = Grid.box(1, 10.0, 128), Grid.box(1, 10.0, nodes)
+    window = make_window(alg, grid)
+    x = grid.nodes()
+    args = (real_off_centre_symbol(1), z_grid.nodes(), z_grid.weight,
+            plain_row(alg, window, x[:1]), plain_row(alg, window, x))
+    assert traced_peak(assemble_kernel, *args) < 8 * CHUNK_ENTRIES * 24

@@ -9,7 +9,7 @@ from nilquant.algebra import heisenberg
 from nilquant.fields import sample_xi
 from nilquant.grids import Grid, XiGrid
 from nilquant.symbols import (DeltaSymbol, GaussianSymbol, PhaseSymbol, SymbolError,
-                              XOnlySymbol, XiOnlySymbol)
+                              TranslatedSymbol, XOnlySymbol, XiOnlySymbol)
 
 TWO_PI = 2.0 * math.pi
 
@@ -51,6 +51,43 @@ def test_gaussian_pair_exponent_consistent():
     rebuilt = pref * np.exp(row[:, None] + col[None, :] - cross)
     slow = np.array([[sym.hat2(z, P[i] - Q[j]) for j in range(3)] for i in range(4)])
     assert np.max(np.abs(rebuilt - slow)) < 1e-13
+
+
+PAIR_SYMBOLS = {
+    "complex": lambda: GaussianSymbol.make(3, amplitude=0.8 - 0.3j, x_center=[0.2, -0.1, 0.4],
+                                           x_sigma=0.9, x_phase=[0.3, -0.2, 0.1],
+                                           xi_center=[0.3, -0.1, 0.2], xi_sigma=[0.8, 1.1, 1.0],
+                                           xi_phase=[0.5, 0.2, -0.4]),
+    "real": lambda: GaussianSymbol.make(3, amplitude=1.3, x_center=[0.2, -0.1, 0.4],
+                                        xi_center=[0.3, -0.1, 0.2], xi_sigma=[0.8, 1.1, 1.0]),
+    "translated": lambda: TranslatedSymbol(
+        GaussianSymbol.make(3, amplitude=0.7 + 0.2j, x_center=[0.1, 0.3, -0.2], x_phase=0.4,
+                            xi_sigma=0.9), heisenberg(), np.array([0.3, -0.4, 0.1])),
+    "xi_only": lambda: XiOnlySymbol.gaussian(3, center=[0.3, -0.2, 0.1], sigma=0.8,
+                                             phase=[0.1, 0.0, -0.2]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PAIR_SYMBOLS))
+def test_pair_exponent_of_a_chunk_stacks_the_per_node_ones(kind):
+    """z (c, 1, n) with P (c, m, n) and Q (c, k, n) gives the per-node results
+    along a leading axis, the prefactor as a (c, 1) array; one node (n,)
+    gives a Python complex prefactor."""
+    sym = PAIR_SYMBOLS[kind]()
+    rng = np.random.default_rng(7)
+    c, m, k = 5, 4, 6
+    z = rng.uniform(-1, 1, (c, 1, 3))
+    P = rng.uniform(-1, 1, (c, m, 3))
+    Q = rng.uniform(-1, 1, (c, k, 3))
+    pref, *rest = sym.hat2_pair_exponent(z, P, Q)
+    assert np.shape(np.broadcast_to(pref, (c, m))) == (c, m)
+    assert [a.shape for a in rest] == [(c, m), (c, k), (c, m, 3), (c, k, 3)]
+    for i in range(c):
+        one_pref, *one = sym.hat2_pair_exponent(z[i, 0], P[i], Q[i])
+        assert type(one_pref) is complex
+        assert abs(np.broadcast_to(pref, (c, 1))[i, 0] - one_pref) <= 1e-15 * abs(one_pref)
+        for a, b in zip(rest, one):
+            assert np.array_equal(a[i], b)
 
 
 def test_gaussian_lp_norm_vs_quadrature():
