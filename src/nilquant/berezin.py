@@ -17,12 +17,12 @@ transform exponent at V = log(zx) - log(zy) is a row term plus a column term
 minus a real cross term of rank n, so each z-node costs one (n+2)-deep
 matrix product for the whole real exponent, one real matrix exp and a
 complex outer scaling by unit phase vectors (see `assemble_kernel`).
-The z nodes are taken in chunks of about `CHUNK_ENTRIES` kernel entries:
-one call of the row data (BCH product, window, phase points, dressing) and
-of the pair exponent per chunk, and one stacked matmul per row block, while
-each node still adds its own term, so the sum runs in node order.  Small
-kernels (a 1 x k row) fit their whole quadrature in one chunk; kernels of
-2^16 entries or more take one node at a time.
+The z nodes are taken in chunks of about `CHUNK_ENTRIES` kernel entries
+plus row and column values: one call of the row data (BCH product, window,
+phase points, dressing) and of the pair exponent per chunk, and one stacked
+matmul per row block, while each node still adds its own term, so the sum
+runs in node order.  Small kernels (a 1 x k row) fit a desk quadrature in
+one chunk; kernels of 2^16 entries or more take one node at a time.
 
 For fixed z and real f the (x, y) matrix of the integrand is Hermitian, and
 positive semidefinite when f >= 0, hence the assembled kernel is PSD up to
@@ -96,8 +96,10 @@ def berezin_weak(cfg: BerezinConfig, u: Field, v: Field) -> complex:
 # Kernel assembly
 # ---------------------------------------------------------------------------
 
-#: Kernel entries (nodes x rows x columns) per chunk of z nodes in
-#: `assemble_kernel`; its exponent and term buffers take 24 bytes per entry.
+#: Kernel entries plus row and column values, c (m k + m + k), per chunk of
+#: c z nodes in `assemble_kernel`.  The exponent and term buffers take 24
+#: bytes per entry; the row data (U and V rows, window values, their logs and
+#: phases) take more per row or column value, which matters for a 1 x k row.
 CHUNK_ENTRIES = 1 << 16
 
 
@@ -139,12 +141,15 @@ def assemble_kernel(symbol: XiSymbol, z_nodes: np.ndarray, z_weight: float,
     magnetic variants.
 
     The nodes are taken in chunks: the first node alone, which fixes m and
-    k, then ``max(1, CHUNK_ENTRIES // (m * k))`` nodes at a time.  A chunk
+    k, then ``max(1, CHUNK_ENTRIES // (m * k + m + k))`` nodes at a time, so
+    a chunk's m k entries and its m + k row and column values per node stay
+    within the budget together.  A chunk
     costs one ``row_data`` (and ``col_data``) call and one
     ``hat2_pair_exponent`` call; each node of it still adds its own term,
     so every entry sums its z terms in node order and the result is the
     node-by-node sum.  The buffers hold min(chunk, len(z_nodes)) nodes and
-    are allocated once; at m * k >= CHUNK_ENTRIES a chunk is a single node.
+    are allocated once; at m * k + m + k > CHUNK_ENTRIES / 2 a chunk is a
+    single node.
 
     The symbol supplies its transform exponent in row + col - cross form
     with the cross term as two rank-n factors, cross = Xs @ Qf.T
@@ -178,7 +183,7 @@ def assemble_kernel(symbol: XiSymbol, z_nodes: np.ndarray, z_weight: float,
         pref, row, col, Xs, Qf = _chunk_exponent(symbol, z, row_data, col_data)
         if start == 0:
             (m, n), k = Xs.shape[-2:], Qf.shape[-2]
-            chunk = max(1, CHUNK_ENTRIES // (m * k))
+            chunk = max(1, CHUNK_ENTRIES // (m * k + m + k))
             size = min(chunk, len(z_nodes))
             U = np.empty((size, m, n + 2))
             U[..., n + 1] = 1.0

@@ -26,7 +26,7 @@ import numpy as np
 
 from .algebra import AlgebraError, preset, validate_algebra
 from .berezin import BerezinConfig, berezin_quantize
-from .coherent import WeylSystem
+from .coherent import WeylSystem, nyquist_axes
 from .config import ConfigError, ExperimentConfig, load_config, parse_config
 from .exports import (field_to_csv, load_matrix, matrix_to_csv, save_matrix,
                       write_json, xi_field_to_csv)
@@ -102,7 +102,10 @@ def cmd_quantize(args) -> int:
         return EXIT_CONFIG
     outdir = cfg.out or "."
     os.makedirs(outdir, exist_ok=True)
-    summary = {"scheme": cfg.scheme, "seed": cfg.seed, "group": cfg.algebra.name}
+    # the dual box against the Nyquist band of the grid whose nodes carry
+    # the phases; an aliasing box is recorded, not refused
+    summary = {"scheme": cfg.scheme, "seed": cfg.seed, "group": cfg.algebra.name,
+               "nyquist": nyquist_axes(cfg.g_grid, cfg.xi_grid.dual_grid)}
 
     if isinstance(op, WeylOperator):
         # Point-mass symbol: the operator is an exact unitary shift with no

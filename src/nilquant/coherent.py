@@ -30,17 +30,25 @@ FW on a XiGrid and B* integrate against the dual-side phase
 exp(+-i <y | zeta>) over a dual grid.  That grid is a tensor product, so the
 phase is applied axis by axis: `transforms.dual_phase_grid` for FW, whose
 y nodes form a grid as well, and `transforms.dual_phase_points` for B*, whose
-points z x do not.  Neither builds a dense points x |dual| phase matrix
-(`coherent_state_bank`, which returns every coherent state at every target,
-still does).  Two evaluation routes are kept for FW: the factored one
-(change of variables, then the separable phase) and a literal per-node
-quadrature; they must agree to reassociation error.
+points z x do not.  Neither builds a dense points x |dual| phase matrix.
+Two evaluation routes are kept for FW: the factored one (change of
+variables, then the separable phase) and a literal per-node quadrature;
+they must agree to reassociation error.
+
+`coherent_state_bank` returns every coherent state at every target, so it
+does build the dense (|Xi| x targets) matrix, one complex exp per entry.
+The covariant symbols ask for the same few banks again and again (one per
+window, Xi grid and operator grid), so a bank on a target *grid* is kept in
+a bounded memo: keyed on the algebra and window objects, the Xi grid and the
+target grid, read-only, at most `BANK_MEMO_BYTES` in all and never holding a
+bank larger than that.  Arbitrary target points are built afresh each call.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,13 +64,21 @@ class NyquistWarning(UserWarning):
     nodes carry the phases exp(i <y | zeta>); those phases alias there."""
 
 
+def nyquist_axes(g_grid: Grid, dual_grid: Grid) -> list[dict]:
+    """Per axis: the dual half-width, the Nyquist band pi/h of `g_grid`, and
+    whether the dual box reaches past it, where the phases exp(i <y | zeta>)
+    on the nodes of `g_grid` alias."""
+    return [{"dual_half_width": half, "nyquist_band": math.pi / h,
+             "aliases": half > math.pi / h}
+            for half, h in zip(dual_grid.half_width, g_grid.spacing)]
+
+
 def _warn_past_nyquist(g_grid: Grid, dual_grid: Grid, stacklevel: int = 3):
-    for axis, (half, h) in enumerate(zip(dual_grid.half_width, g_grid.spacing)):
-        band = math.pi / h
-        if half > band:
-            warnings.warn(f"dual half-width {half:g} on axis {axis} exceeds the Nyquist "
-                          f"band pi/h = {band:.4g} of the group grid; the phases alias",
-                          NyquistWarning, stacklevel=stacklevel)
+    for axis, a in enumerate(nyquist_axes(g_grid, dual_grid)):
+        if a["aliases"]:
+            warnings.warn(f"dual half-width {a['dual_half_width']:g} on axis {axis} exceeds "
+                          f"the Nyquist band pi/h = {a['nyquist_band']:.4g} of the group "
+                          f"grid; the phases alias", NyquistWarning, stacklevel=stacklevel)
 
 
 @dataclass(frozen=True)
@@ -277,13 +293,47 @@ def coherent_state(alg: LieAlgebra, w: Window, p: PhasePoint) -> Field:
     return WeylSystem(alg).adjoint_shift(p, w.field)
 
 
+#: Bytes of coherent-state banks `coherent_state_bank` keeps for reuse.
+BANK_MEMO_BYTES = 1 << 24
+
+# (id(alg), id(window), xi_grid, target grid) -> (alg, window, bank); the
+# entry holds the algebra and window so their ids cannot be reused while it
+# lives.  Least recently used first.
+_BANKS: OrderedDict = OrderedDict()
+
+
 def coherent_state_bank(alg: LieAlgebra, w: Window, xi_grid: XiGrid,
-                        targets: np.ndarray) -> np.ndarray:
+                        targets) -> np.ndarray:
     """Samples omega_Z(x) for every Xi node Z, shape (n_xi, n_targets).
 
     Node order is C order over (z index, zeta index), matching
-    ``XiSamples.values.reshape(-1)``.
+    ``XiSamples.values.reshape(-1)``.  `targets` is a Grid, whose nodes are
+    the targets, or an array of points (n_targets, n).  A bank on a grid is
+    read-only and memoized: the same algebra and window objects with equal
+    Xi and target grids get the stored array back.  The memo holds at most
+    `BANK_MEMO_BYTES`, dropping the least recently used banks first, and
+    never stores a bank larger than that.  A bank at points is built afresh
+    and writable.
     """
+    if not isinstance(targets, Grid):
+        return _build_bank(alg, w, xi_grid, np.asarray(targets, float))
+    key = (id(alg), id(w), xi_grid, targets)
+    entry = _BANKS.get(key)
+    if entry is not None:
+        _BANKS.move_to_end(key)
+        return entry[2]
+    bank = _build_bank(alg, w, xi_grid, targets.nodes())
+    bank.setflags(write=False)
+    if bank.nbytes <= BANK_MEMO_BYTES:
+        held = sum(e[2].nbytes for e in _BANKS.values())
+        while held + bank.nbytes > BANK_MEMO_BYTES:
+            held -= _BANKS.popitem(last=False)[1][2].nbytes
+        _BANKS[key] = (alg, w, bank)
+    return bank
+
+
+def _build_bank(alg: LieAlgebra, w: Window, xi_grid: XiGrid,
+                targets: np.ndarray) -> np.ndarray:
     z_nodes, zeta_nodes = xi_grid.node_pairs()
     out = np.empty((len(z_nodes) * len(zeta_nodes), len(targets)), dtype=complex)
     for i, z in enumerate(z_nodes):

@@ -29,10 +29,12 @@ import numpy as np
 
 from .algebra import LieAlgebra
 from .berezin import BerezinConfig
-from .coherent import PhasePoint, Window, bargmann, coherent_state, coherent_state_bank
+from .coherent import (PhasePoint, Window, _warn_past_nyquist, coherent_state,
+                       coherent_state_bank)
 from .fields import sample_xi
-from .grids import XiGrid
+from .grids import Grid, XiGrid
 from .operators import OperatorMatrix
+from .transforms import dual_phase_grid
 
 FULL_SYMBOL_GUARD = 10_000_000
 
@@ -67,18 +69,13 @@ class CovSymbol:
         return float(np.max(np.abs(self.values - self.values.conj().T))) / scale
 
 
-def _states(alg: LieAlgebra, w: Window, xi_grid: XiGrid, targets) -> np.ndarray:
-    # (n_xi, n_targets) coherent-state samples, C order over (z, zeta)
-    return coherent_state_bank(alg, w, xi_grid, np.asarray(targets, float))
-
-
 def cov_full(T: OperatorMatrix, alg: LieAlgebra, w: Window, xi_grid: XiGrid) -> CovSymbol:
     """cov(T) on every pair of Xi nodes: cov[i, j] = <T omega_i, omega_j>."""
     if xi_grid.size ** 2 > FULL_SYMBOL_GUARD:
         raise CovariantError(
             f"full covariant symbol would hold {xi_grid.size ** 2:.2e} entries "
             f"(guard {FULL_SYMBOL_GUARD:.0e}); use a coarser grid")
-    S = _states(alg, w, xi_grid, T.grid.nodes())          # (n_xi, m)
+    S = coherent_state_bank(alg, w, xi_grid, T.grid)      # (n_xi, m)
     vol = T.grid.weight
     inner = vol * np.conjugate(S) @ (vol * T.kernel) @ S.T  # inner[j, i] = <T w_i, w_j>
     return CovSymbol(w, xi_grid, inner.T)
@@ -96,7 +93,7 @@ def cov_at(T: OperatorMatrix, alg: LieAlgebra, w: Window,
 def cov_diagonal(T: OperatorMatrix, alg: LieAlgebra, w: Window,
                  xi_grid: XiGrid) -> np.ndarray:
     """Cov(T) on the Xi nodes (flattened C order)."""
-    S = _states(alg, w, xi_grid, T.grid.nodes())
+    S = coherent_state_bank(alg, w, xi_grid, T.grid)
     vol = T.grid.weight
     TS = (vol * T.kernel) @ S.T                            # (m, n_xi)
     return vol * np.einsum("im,mi->i", np.conjugate(S), TS)
@@ -114,25 +111,68 @@ def square_adjoint(F: CovSymbol) -> CovSymbol:
     return CovSymbol(F.window, F.xi_grid, F.values.conj().T)
 
 
+#: Entries of the stacked phase block and of its Fourier-Wigner transform
+#: that `_berezin_transform_points` holds at once (16 bytes each).
+BT_CHUNK_ENTRIES = 1 << 17
+
+
+def _berezin_transform_points(cfg: BerezinConfig, a_nodes: np.ndarray,
+                              alpha_nodes: np.ndarray) -> np.ndarray:
+    """BT(f)(a, alpha) at every pair of group points a (A, n) and dual points
+    alpha (D, n), shape (A, D).
+
+    The overlap <omega_p, omega_Z> of p = (a, alpha) with Z = (z, zeta) is
+    the Bargmann transform of omega_p, the y-quadrature over cfg.g_grid of
+
+        e^{i <y|zeta>} e^{-i <a z^{-1} y | alpha>} omega(a z^{-1} y) conj(omega(y)).
+
+    The symbol is sampled once and z^{-1} y and conj(omega(y)) are formed
+    once; a z^{-1} y and the window on it once per group point a; the
+    phases of all dual points alpha are one stacked exp and one
+    `dual_phase_grid` call, in chunks of at most `BT_CHUNK_ENTRIES` block
+    and transform entries.  Warns (`NyquistWarning`) when the dual box of
+    cfg.xi_grid is past the Nyquist band of cfg.g_grid.
+    """
+    alg, w, xi, y_grid = cfg.algebra, cfg.window, cfg.xi_grid, cfg.g_grid
+    # stacklevel: reported at the caller of the public berezin_transform*
+    _warn_past_nyquist(y_grid, xi.dual_grid, stacklevel=4)
+    f = sample_xi(cfg.symbol, xi).values.reshape(-1)    # (N_z N_zeta,)
+    f_re, f_im = np.ascontiguousarray(f.real), np.ascontiguousarray(f.imag)
+    y = y_grid.nodes()
+    back = alg.bch(alg.inv(xi.g_grid.nodes())[:, None, :], y[None, :, :])  # z^{-1} y
+    conj_wy = np.conjugate(w(y))
+    n_z, n_y = back.shape[:2]
+    chunk = max(1, BT_CHUNK_ENTRIES // (n_z * (n_y + xi.dual_grid.size)))
+    alpha_nodes = np.asarray(alpha_nodes, float)
+    out = np.empty((len(a_nodes), len(alpha_nodes)), dtype=complex)
+    for i, a in enumerate(np.asarray(a_nodes, float)):
+        azy = alg.bch(a, back)
+        g = w(azy) * conj_wy
+        for s in range(0, len(alpha_nodes), chunk):
+            alpha = alpha_nodes[s:s + chunk]
+            block = np.multiply(np.tensordot(alpha, azy, axes=([1], [2])), -1j)  # (c, N_z, N_y)
+            np.exp(block, out=block)
+            block *= g
+            power = np.abs(dual_phase_grid(block.reshape(-1, n_y), y_grid, xi.dual_grid, 1))
+            power *= power
+            power = power.reshape(len(alpha), -1)
+            out.real[i, s:s + len(alpha)] = power @ f_re
+            out.imag[i, s:s + len(alpha)] = power @ f_im
+    return (xi.weight * y_grid.weight ** 2) * out
+
+
 def berezin_transform(cfg: BerezinConfig, p: PhasePoint) -> complex:
-    """BT(f)(p) = integral f(Z) |<omega_p, omega_Z>|^2 dZ."""
-    overlaps = bargmann(cfg.algebra, cfg.window,
-                        coherent_state(cfg.algebra, cfg.window, p),
-                        cfg.xi_grid, cfg.g_grid)
-    fvals = sample_xi(cfg.symbol, cfg.xi_grid).values
-    return complex(cfg.xi_grid.weight * np.sum(fvals * np.abs(overlaps.values) ** 2))
+    """BT(f)(p) = integral f(Z) |<omega_p, omega_Z>|^2 dZ, by Xi quadrature
+    over cfg.xi_grid with the overlaps' y-quadrature over cfg.g_grid
+    (`berezin_transform_nodes` with one point)."""
+    return complex(_berezin_transform_points(cfg, p.zv[None], p.zetav[None])[0, 0])
 
 
 def berezin_transform_nodes(cfg: BerezinConfig, coarse: XiGrid) -> np.ndarray:
-    """BT(f) sampled on the nodes of a coarse XiGrid (flattened C order)."""
-    z_nodes, zeta_nodes = coarse.node_pairs()
-    out = np.empty(coarse.size, dtype=complex)
-    k = 0
-    for z in z_nodes:
-        for zeta in zeta_nodes:
-            out[k] = berezin_transform(cfg, PhasePoint(z, zeta))
-            k += 1
-    return out
+    """BT(f) sampled on the nodes of a coarse XiGrid (flattened C order),
+    in one batch: the symbol, z^{-1} y and the window at y are formed once
+    for all nodes, the window at a z^{-1} y once per coarse group node."""
+    return _berezin_transform_points(cfg, *coarse.node_pairs()).reshape(-1)
 
 
 def norm_bound_check(T: OperatorMatrix, alg: LieAlgebra, w: Window,
@@ -185,18 +225,18 @@ def c0_decay_check(T: OperatorMatrix, alg: LieAlgebra, w: Window, xi_grid: XiGri
             "tail_ok": tail_ok, "decays": bool(monotone and tail_ok)}
 
 
-def kernel_from_cov(C: CovSymbol, alg: LieAlgebra, grid) -> OperatorMatrix:
+def kernel_from_cov(C: CovSymbol, alg: LieAlgebra, grid: Grid) -> OperatorMatrix:
     """Reconstruct the kernel of a regularizing operator:
 
         K(x, y) = integral integral cov(T)(Z, Z') omega_{Z'}(x) conj(omega_Z(y)) dZ dZ'.
     """
-    S = _states(alg, C.window, C.xi_grid, grid.nodes()).T   # (m, n_xi)
+    S = coherent_state_bank(alg, C.window, C.xi_grid, grid).T  # (m, n_xi)
     K = S @ C.values.T @ S.conj().T
     return OperatorMatrix(grid, C.xi_grid.weight ** 2 * K)
 
 
 def kernel_from_cov_points(C: CovSymbol, alg: LieAlgebra, x_points, y_points) -> np.ndarray:
     """Same reconstruction, evaluated at arbitrary analytic point pairs."""
-    Sx = _states(alg, C.window, C.xi_grid, np.asarray(x_points, float)).T
-    Sy = _states(alg, C.window, C.xi_grid, np.asarray(y_points, float)).T
+    Sx = coherent_state_bank(alg, C.window, C.xi_grid, x_points).T
+    Sy = coherent_state_bank(alg, C.window, C.xi_grid, y_points).T
     return C.xi_grid.weight ** 2 * (Sx @ C.values.T @ Sy.conj().T)

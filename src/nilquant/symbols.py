@@ -103,9 +103,13 @@ class GaussianFactor:
         return len(self.center)
 
     def __call__(self, t) -> np.ndarray:
+        """Complex values at points t (..., n); one real exp when the phase
+        is zero (see `fields.gaussian`)."""
         t = np.asarray(t, float)
         d = (t - self.center) / self.sigma
         quad = -0.5 * np.einsum("...i,...i->...", d, d)
+        if not self.phase.any():
+            return np.exp(quad).astype(complex)
         ph = np.einsum("...i,i->...", t, self.phase)
         return np.exp(quad + 1j * ph)
 

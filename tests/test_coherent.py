@@ -9,7 +9,7 @@ import pytest
 from nilquant.algebra import abelian, heisenberg
 from nilquant.coherent import (NyquistWarning, PhasePoint, bargmann, bargmann_adjoint,
                                coherent_state, fourier_wigner, fourier_wigner_at,
-                               make_window, projector, reproducing_apply,
+                               make_window, nyquist_axes, projector, reproducing_apply,
                                reproducing_kernel, weyl, weyl_adjoint,
                                weyl_compose_factor)
 from nilquant.fields import gaussian, random_gaussian
@@ -255,6 +255,20 @@ def test_dual_box_past_nyquist_band_warns():
             assert any(f"axis {axis}" in m and "half-width 4" in m and "2.749" in m
                        for m in messages)
     assert issubclass(NyquistWarning, UserWarning)
+
+
+def test_warnings_name_the_axes_nyquist_axes_flags():
+    """One axis past the band, two inside: the per-axis record and the
+    warnings come from one helper and agree."""
+    alg = heisenberg()
+    grid = Grid.box(3, 4.0, 7)
+    xi = XiGrid.box(3, 4.0, 3, [2.0, 3.0, 2.7], 3)
+    flags = [a["aliases"] for a in nyquist_axes(grid, xi.dual_grid)]
+    assert flags == [False, True, False]
+    with pytest.warns(NyquistWarning) as record:
+        bargmann(alg, make_window(alg, grid), gaussian(3), xi, grid)
+    messages = _nyquist_messages(record)
+    assert [any(f"axis {k}" in m for m in messages) for k in range(3)] == flags
 
 
 def test_dual_box_inside_nyquist_band_is_silent():

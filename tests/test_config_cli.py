@@ -176,6 +176,22 @@ def test_cli_quantize_and_export(tmp_path):
     assert csv_out.exists()
 
 
+@pytest.mark.parametrize("dual_half_width, aliases", [(2.5, False), (4.0, True)])
+def test_cli_quantize_records_the_nyquist_band_per_axis(tmp_path, dual_half_width, aliases):
+    """H1 with half-width 4 and 7 nodes per axis: pi/h = 7 pi / 8 = 2.75.  A
+    dual box past it is recorded as aliasing and still exits 0."""
+    cfg = {"group": "heisenberg:1", "grid": {"half_width": 4.0, "count": 7},
+           "xi_grid": {"g": {"half_width": 4.0, "count": 3},
+                       "dual": {"half_width": dual_half_width, "count": 3}},
+           "scheme": "op"}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["quantize", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 0
+    summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+    assert summary["nyquist"] == [{"dual_half_width": dual_half_width,
+                                   "nyquist_band": 7 * np.pi / 8, "aliases": aliases}] * 3
+
+
 def test_cli_verify_empty_suite_is_config_error(tmp_path):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({**SMALL, "suite": []}))
