@@ -17,7 +17,8 @@ from .coherent import (PhasePoint, Window, bargmann, bargmann_adjoint, coherent_
                        fourier_wigner, make_window, projector, reproducing_kernel,
                        weyl, weyl_adjoint, weyl_compose_factor)
 from .covariant import (CovSymbol, berezin_transform, c0_decay_check, cov_at, cov_full,
-                        kernel_from_cov, norm_bound_check, square_adjoint, square_compose)
+                        kernel_from_cov, norm_bound_check, norm_bound_checks, square_adjoint,
+                        square_compose)
 from .fields import Field, XiSamples, gaussian, gridded_field, sample_xi
 from .grids import Grid, XiGrid
 from .magnetic import (MagneticField, VectorPotential, circulation, flux_triangle,

@@ -17,12 +17,14 @@ transform exponent at V = log(zx) - log(zy) is a row term plus a column term
 minus a real cross term of rank n, so each z-node costs one (n+2)-deep
 matrix product for the whole real exponent, one real matrix exp and a
 complex outer scaling by unit phase vectors (see `assemble_kernel`).
-The z nodes are taken in chunks of about `CHUNK_ENTRIES` kernel entries
-plus row and column values: one call of the row data (BCH product, window,
-phase points, dressing) and of the pair exponent per chunk, and one stacked
-matmul per row block, while each node still adds its own term, so the sum
-runs in node order.  Small kernels (a 1 x k row) fit a desk quadrature in
-one chunk; kernels of 2^16 entries or more take one node at a time.
+The z nodes are taken at two levels.  The row data (BCH product, window,
+phase points, dressing) and the pair exponent are prepared for a batch of
+nodes at once; the stacked matmul, real exp and phase scaling run on chunks
+of about `CHUNK_ENTRIES` kernel entries plus row and column values.  Each
+node still adds its own term, so the sum runs in node order.  Small kernels
+(a 1 x k row) fit a desk quadrature in one chunk, and a batch is a chunk;
+kernels of 2^15 entries or more take one node per chunk but batch the row
+data of CHUNK_ENTRIES // (8 (m + k)) nodes.
 
 For fixed z and real f the (x, y) matrix of the integrand is Hermitian, and
 positive semidefinite when f >= 0, hence the assembled kernel is PSD up to
@@ -100,6 +102,8 @@ def berezin_weak(cfg: BerezinConfig, u: Field, v: Field) -> complex:
 #: c z nodes in `assemble_kernel`.  The exponent and term buffers take 24
 #: bytes per entry; the row data (U and V rows, window values, their logs and
 #: phases) take more per row or column value, which matters for a 1 x k row.
+#: When a chunk is one node, the row data of a batch of CHUNK_ENTRIES //
+#: (8 (m + k)) nodes is prepared at once: a row value costs about 8 entries.
 CHUNK_ENTRIES = 1 << 16
 
 
@@ -113,11 +117,20 @@ def _row_blocks(m: int) -> list[int]:
     return [round(m * (1.0 - math.sqrt(1.0 - k / b))) for k in range(b + 1)]
 
 
-def _chunk_exponent(symbol: XiSymbol, z, row_data, col_data):
-    """The symbol's (prefactor, row, col, Xs, Qf) at one node or a chunk of
+def _row_ranges(m: int, k: int) -> list[int]:
+    """Row boundaries of the full m x k block: one range up to
+    `CHUNK_ENTRIES` entries, else equal ranges of about that many entries,
+    which write into one accumulator, so a node's exponent and term buffers
+    stay within the budget however large the kernel."""
+    parts = max(1, min(m, -(-m * k // CHUNK_ENTRIES)))
+    return [m * i // parts for i in range(parts + 1)]
+
+
+def _batch_exponent(symbol: XiSymbol, z, row_data, col_data):
+    """The symbol's (prefactor, row, col, Xs, Qf) at one node or a batch of
     them (`XiSymbol.hat2_pair_exponent`), with the row and column window
     factors folded into row and col through their logs.  A function of its
-    own so that the row and column data are freed before the chunk's blocks
+    own so that the row and column data are freed before the batch's terms
     are accumulated."""
     P, G = row_data(z)
     Q, H = (P, G) if col_data is None else col_data(z)
@@ -128,6 +141,36 @@ def _chunk_exponent(symbol: XiSymbol, z, row_data, col_data):
     return pref, row, col, Xs, Qf
 
 
+def _load_batch(exponent, U, V, R, C):
+    """Writes a batch's exponent into U = [-Xs, Re row, 1], V = [Qf, 1,
+    Re col] and the unit phase vectors R (the prefactor riding on it) and C,
+    each cut to the batch's nodes."""
+    pref, row, col, Xs, Qf = exponent
+    n = Xs.shape[-1]
+    np.negative(Xs, out=U[..., :n])
+    U[..., n] = row.real
+    V[..., :n] = Qf
+    V[..., n + 1] = col.real
+    np.multiply(pref, np.exp(1j * row.imag), out=R)
+    np.exp(1j * col.imag, out=C)
+
+
+def _add_terms(blocks, accs, nodes: slice):
+    """Adds the terms of the batch's ``nodes`` to the block accumulators: per
+    block one stacked matmul, real exp and phase scaling into the shared
+    exponent and term buffers, then node by node, so that every entry sums
+    its z terms in node order."""
+    c = nodes.stop - nodes.start
+    for (u, vt, rph, cph, rexp, term), acc in zip(blocks, accs):
+        rexp, term = rexp[:c], term[:c]
+        np.matmul(u[nodes], vt[nodes], out=rexp)
+        np.exp(rexp, out=rexp)
+        np.multiply(rexp, rph[nodes], out=term)
+        term *= cph[nodes]
+        for t in term:
+            acc += t
+
+
 def assemble_kernel(symbol: XiSymbol, z_nodes: np.ndarray, z_weight: float,
                     row_data, col_data=None) -> np.ndarray:
     """K[i,j] = z_weight * sum_z hat2(z, P_z[i] - Q_z[j]) G_z[i] conj(H_z[j]).
@@ -135,21 +178,24 @@ def assemble_kernel(symbol: XiSymbol, z_nodes: np.ndarray, z_weight: float,
     ``row_data(z) -> (P, G)`` supplies the transformed points P and the
     scalar factors G attached to the row argument; ``col_data`` likewise for
     columns (defaults to the rows).  It is called with one node z of shape
-    (n,), returning P (m, n) and G (m,), or with a chunk of c nodes as z of
+    (n,), returning P (m, n) and G (m,), or with a batch of c nodes as z of
     shape (c, 1, n), returning P (c, m, n) and G (c, m), so it must broadcast
     over leading axes.  This one loop serves the plain, ordering-twisted and
     magnetic variants.
 
-    The nodes are taken in chunks: the first node alone, which fixes m and
-    k, then ``max(1, CHUNK_ENTRIES // (m * k + m + k))`` nodes at a time, so
-    a chunk's m k entries and its m + k row and column values per node stay
-    within the budget together.  A chunk
-    costs one ``row_data`` (and ``col_data``) call and one
-    ``hat2_pair_exponent`` call; each node of it still adds its own term,
-    so every entry sums its z terms in node order and the result is the
-    node-by-node sum.  The buffers hold min(chunk, len(z_nodes)) nodes and
-    are allocated once; at m * k + m + k > CHUNK_ENTRIES / 2 a chunk is a
-    single node.
+    The nodes are taken at two levels, after the first node alone, which
+    fixes m and k.  Term chunks of ``chunk = max(1, CHUNK_ENTRIES // (m * k
+    + m + k))`` nodes share one stacked matmul, real exp and phase scaling
+    per block, so a chunk's m k entries and its m + k row and column values
+    per node stay within the budget together.  Row-data batches of ``chunk``
+    nodes, or of ``max(1, CHUNK_ENTRIES // (8 * (m + k)))`` when a chunk is
+    a single node (m * k + m + k > CHUNK_ENTRIES / 2), cost one
+    ``row_data`` (and ``col_data``) call and one ``hat2_pair_exponent``
+    call; a short last batch takes the remaining nodes, passed as (n,) when
+    there is one.  Each node still adds its own term, so every entry sums
+    its z terms in node order and the result is the node-by-node sum.  The
+    U, V and phase buffers hold a batch and one exponent and one term
+    buffer hold a chunk of the largest block; all are allocated once.
 
     The symbol supplies its transform exponent in row + col - cross form
     with the cross term as two rank-n factors, cross = Xs @ Qf.T
@@ -172,53 +218,49 @@ def assemble_kernel(symbol: XiSymbol, z_nodes: np.ndarray, z_weight: float,
     upper-triangle row blocks [r0, r1) x [r0, m) are accumulated, each in its
     own contiguous buffer (`_row_blocks`); the lower triangle is mirrored
     once at the end and the diagonal made real, so K == K^H exactly.
-    Otherwise the whole (m, k) matrix is the one block.
+    Otherwise the whole (m, k) matrix is accumulated in one array, as one
+    block or, above CHUNK_ENTRIES entries, as row ranges (`_row_ranges`).
     """
     half = col_data is None and symbol.real
     z_nodes = np.asarray(z_nodes, float)
-    start, chunk = 0, 1
+    start, batch = 0, 1
     while start < len(z_nodes):
-        c = min(chunk, len(z_nodes) - start)
-        z = z_nodes[start] if c == 1 else z_nodes[start:start + c, None, :]
-        pref, row, col, Xs, Qf = _chunk_exponent(symbol, z, row_data, col_data)
+        b = min(batch, len(z_nodes) - start)
+        z = z_nodes[start] if b == 1 else z_nodes[start:start + b, None, :]
+        exponent = _batch_exponent(symbol, z, row_data, col_data)
         if start == 0:
-            (m, n), k = Xs.shape[-2:], Qf.shape[-2]
+            (m, n), k = exponent[3].shape[-2:], exponent[4].shape[-2]
             chunk = max(1, CHUNK_ENTRIES // (m * k + m + k))
-            size = min(chunk, len(z_nodes))
+            batch = chunk if chunk > 1 else max(1, CHUNK_ENTRIES // (8 * (m + k)))
+            size = min(batch, len(z_nodes))
             U = np.empty((size, m, n + 2))
             U[..., n + 1] = 1.0
             V = np.empty((size, k, n + 2))
             V[..., n] = 1.0
             R = np.empty((size, m), dtype=complex)
             C = np.empty((size, k), dtype=complex)
-            bounds = _row_blocks(m) if half else [0, m]
+            bounds = _row_blocks(m) if half else _row_ranges(m, k)
             spans = [(r0, r1, r0 if half else 0) for r0, r1 in zip(bounds, bounds[1:])]
             shapes = [(r1 - r0, k - c0) for r0, r1, c0 in spans]
-            # per-chunk views, made once: a short last chunk takes their first c nodes
-            inputs = (U[..., :n], U[..., n], V[..., :n], V[..., n + 1], R, C)
+            # one exponent and one term buffer of chunk nodes, shared by the blocks
+            sub = min(chunk, len(z_nodes))
+            most = sub * max(h * w for h, w in shapes)
+            buffers = np.empty(most), np.empty(most, dtype=complex)
             blocks = [(U[:, r0:r1], V[:, c0:].transpose(0, 2, 1), R[:, r0:r1, None],
-                       C[:, None, c0:], np.empty((size,) + s),
-                       np.empty((size,) + s, dtype=complex))
-                      for (r0, r1, c0), s in zip(spans, shapes)]
-            accs = [np.zeros(s, dtype=complex) for s in shapes]
-        u_x, u_row, v_q, v_col, rphase, cphase = (
-            inputs if c == size else (a[:c] for a in inputs))
-        np.negative(Xs, out=u_x)
-        u_row[...] = row.real
-        v_q[...] = Qf
-        v_col[...] = col.real
-        np.multiply(pref, np.exp(1j * row.imag), out=rphase)
-        np.exp(1j * col.imag, out=cphase)
-        for views, acc in zip(blocks, accs):
-            u, vt, rph, cph, rexp, term = views if c == size else (a[:c] for a in views)
-            np.matmul(u, vt, out=rexp)
-            np.exp(rexp, out=rexp)
-            np.multiply(rexp, rph, out=term)
-            term *= cph
-            for t in term:  # node by node, so each entry sums its z terms in order
-                acc += t
-        start += c
-    del blocks  # frees the chunk buffers before the mirrored kernel is built
+                       C[:, None, c0:]) + tuple(a[:sub * h * w].reshape(sub, h, w)
+                                                for a in buffers)
+                      for (r0, r1, c0), (h, w) in zip(spans, shapes)]
+            if half:
+                accs = [np.zeros(s, dtype=complex) for s in shapes]
+            else:
+                K = np.zeros((m, k), dtype=complex)
+                accs = [K[r0:r1] for r0, r1, _ in spans]
+        _load_batch(exponent, U[:b], V[:b], R[:b], C[:b])
+        del exponent
+        for s in range(0, b, chunk):
+            _add_terms(blocks, accs, slice(s, min(s + chunk, b)))
+        start += b
+    del U, V, R, C, buffers, blocks  # frees them before the mirrored kernel is built
     if half:
         K = np.empty((m, m), dtype=complex)
         for (r0, r1, c0), acc in zip(spans, accs):
@@ -226,8 +268,6 @@ def assemble_kernel(symbol: XiSymbol, z_nodes: np.ndarray, z_weight: float,
         lower = np.tril_indices(m, -1)
         K[lower] = np.conjugate(K.T[lower])
         K.flat[::m + 1] = K.diagonal().real
-    else:
-        K = accs[0]
     K *= z_weight
     return K
 
@@ -241,7 +281,11 @@ def _kernel_row(system: WeylSystem, window: Window, targets: np.ndarray):
         zx = alg.bch(z, targets)
         g = window(zx)
         if system.dressed:
-            g = g * np.exp(-1j * system.dressing(zx, targets))
+            # node by node: with GL_ORDER circulation points per value, a
+            # batch's temporaries outgrow the cache and run slower
+            phase = (system.dressing(zx, targets) if zx.ndim == 2 else
+                     np.stack([system.dressing(p, targets) for p in zx]))
+            g = g * np.exp(-1j * phase)
         return system.phase_points(z, zx), g
     return row
 

@@ -7,7 +7,9 @@ raw tensor entries and are *not* symmetrized — c[1][2][3] = 1 without its
 antisymmetric partner is an error, not a shorthand.
 
 Cost guards reject grids whose phase-space node count or kernel sample count
-would be quadratically expensive, unless "allow_large_grids" is set.
+would be quadratically expensive, unless "allow_large_grids" is set.  They
+are the only size checks: the quantizers behind every scheme assemble
+whatever grid they are given.
 """
 
 from __future__ import annotations
@@ -17,12 +19,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import operators
 from .algebra import MAX_BCH_DEPTH, AlgebraError, LieAlgebra, preset, validate_algebra
 from .coherent import Window
 from .fields import Field, gaussian
 from .grids import Grid, XiGrid
 from .magnetic import potential_preset
-from .operators import KERNEL_SAMPLE_GUARD
 from .symbols import (DeltaSymbol, GaussianSymbol, PhaseSymbol, XOnlySymbol,
                       XiOnlySymbol, XiSymbol)
 from .tau import resolve_tau
@@ -206,10 +208,11 @@ def parse_config(text: str | dict) -> ExperimentConfig:
                        xi_default, dual=True, label="xi_grid.dual")
 
     allow_large = bool(raw.get("allow_large_grids", False))
-    if g_grid is not None and g_grid.size ** 2 > KERNEL_SAMPLE_GUARD and not allow_large:
+    guard = operators.KERNEL_SAMPLE_GUARD
+    if g_grid is not None and g_grid.size ** 2 > guard and not allow_large:
         problems.append(
             f"operator kernel would hold {g_grid.size ** 2:.2e} samples "
-            f"(guard {KERNEL_SAMPLE_GUARD:.0e}); set allow_large_grids to override")
+            f"(guard {guard:.0e}); set allow_large_grids to override")
     if xi_g is not None and xi_d is not None:
         xi_nodes = xi_g.size * xi_d.size
         if xi_nodes > XI_NODE_GUARD and not allow_large:

@@ -33,7 +33,7 @@ from .coherent import (PhasePoint, Window, _warn_past_nyquist, coherent_state,
                        coherent_state_bank)
 from .fields import sample_xi
 from .grids import Grid, XiGrid
-from .operators import OperatorMatrix
+from .operators import OperatorMatrix, schatten_norm
 from .transforms import dual_phase_grid
 
 FULL_SYMBOL_GUARD = 10_000_000
@@ -178,16 +178,27 @@ def berezin_transform_nodes(cfg: BerezinConfig, coarse: XiGrid) -> np.ndarray:
 def norm_bound_check(T: OperatorMatrix, alg: LieAlgebra, w: Window,
                      xi_grid: XiGrid, p: float) -> dict:
     """Check ||Cov(T)||_{L^p(Xi)} <= ||T||_{B^p} (diagonal lower bound)."""
-    if p < 1:
+    return norm_bound_checks(T, alg, w, xi_grid, [p])[0]
+
+
+def norm_bound_checks(T: OperatorMatrix, alg: LieAlgebra, w: Window,
+                      xi_grid: XiGrid, ps) -> list[dict]:
+    """`norm_bound_check` for each exponent of the sequence ``ps``, from one
+    Cov(T) diagonal and one SVD of T."""
+    if any(p < 1 for p in ps):
         raise CovariantError("exponent must satisfy p >= 1")
-    diag = cov_diagonal(T, alg, w, xi_grid)
-    if math.isinf(p):
-        lhs = float(np.max(np.abs(diag)))
-    else:
-        lhs = float((xi_grid.weight * np.sum(np.abs(diag) ** p)) ** (1.0 / p))
-    rhs = T.schatten(p)
-    return {"p": p, "cov_norm": lhs, "schatten_norm": rhs,
-            "ratio": lhs / rhs if rhs > 0 else math.inf}
+    diag = np.abs(cov_diagonal(T, alg, w, xi_grid))
+    sv = T.singular_values()
+    reports = []
+    for p in ps:
+        if math.isinf(p):
+            lhs = float(np.max(diag))
+        else:
+            lhs = float((xi_grid.weight * np.sum(diag ** p)) ** (1.0 / p))
+        rhs = schatten_norm(sv, p)
+        reports.append({"p": p, "cov_norm": lhs, "schatten_norm": rhs,
+                        "ratio": lhs / rhs if rhs > 0 else math.inf})
+    return reports
 
 
 def c0_decay_check(T: OperatorMatrix, alg: LieAlgebra, w: Window, xi_grid: XiGrid,

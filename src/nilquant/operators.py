@@ -18,7 +18,9 @@ from .fields import Field, gridded_field
 from .grids import Grid
 
 
-KERNEL_SAMPLE_GUARD = 4_000_000  # largest m * m kernel a quantizer assembles by default
+#: Largest m * m kernel a config may ask for without "allow_large_grids"
+#: (`config.parse_config`, the one size check of every scheme).
+KERNEL_SAMPLE_GUARD = 4_000_000
 
 
 class OperatorError(ValueError):

@@ -32,7 +32,7 @@ from .berezin import BerezinConfig, berezin_kernel_points
 from .coherent import PhasePoint, weyl
 from .fields import Field
 from .grids import Grid
-from .operators import KERNEL_SAMPLE_GUARD, OperatorMatrix
+from .operators import OperatorMatrix
 from .symbols import PhaseSymbol, SymbolError, XOnlySymbol, XiSymbol
 from .transforms import dual_phase_points
 
@@ -80,9 +80,6 @@ def op_quantize(alg: LieAlgebra, symbol: XiSymbol, grid: Grid,
     if isinstance(symbol, PhaseSymbol):
         return WeylOperator(alg, PhasePoint(symbol.z, symbol.zeta))
     x = grid.nodes()
-    if len(x) ** 2 > KERNEL_SAMPLE_GUARD:
-        raise SymbolError(f"kernel would hold {len(x) ** 2:.2e} samples "
-                          f"(guard {KERNEL_SAMPLE_GUARD:.0e})")
     V = alg.bch(x[:, None, :], -x[None, :, :])     # log(x y^{-1})
     try:
         K = symbol.check2(x[:, None, :], V)

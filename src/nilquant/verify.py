@@ -23,7 +23,7 @@ from .coherent import (PhasePoint, bargmann, bargmann_adjoint, fourier_wigner,
                        make_window, projector, reproducing_apply, weyl,
                        weyl_compose_factor)
 from .covariant import (berezin_transform, cov_full, kernel_from_cov,
-                        norm_bound_check, square_compose)
+                        norm_bound_checks, square_compose)
 from .fields import Field, gaussian, random_gaussian
 from .grids import Grid, XiGrid
 from .magnetic import (cocycle_residual, gauge_berezin_residual,
@@ -440,8 +440,7 @@ def suite_covariant(seed: int = 8, tol_scale: float = 1.0) -> list[CheckResult]:
 
     with Timer() as t:
         worst = 0.0
-        for p in (1.0, 2.0, math.inf):
-            rep = norm_bound_check(T, alg, w, xi, p)
+        for rep in norm_bound_checks(T, alg, w, xi, (1.0, 2.0, math.inf)):
             worst = max(worst, max(0.0, rep["ratio"] - 1.0))
     _check(results, "covariant_norm_bounds", worst, 5e-2, t, tol_scale)
 

@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from nilquant import operators
 from nilquant.cli import main
 from nilquant.config import ConfigError, parse_config
 from nilquant.exports import field_to_csv, load_matrix, matrix_to_csv, save_matrix
@@ -86,6 +87,19 @@ def test_cost_guard_on_phase_space_grid():
         parse_config(big)
     cfg = parse_config({**big, "allow_large_grids": True})
     assert cfg.xi_grid.g_grid.counts == (64, 64, 64)
+
+
+@pytest.mark.parametrize("scheme", ["berezin", "op"])
+def test_cli_kernel_guard_honors_allow_large_grids(tmp_path, monkeypatch, scheme):
+    """One kernel size guard for every scheme: past it a config exits 2, and
+    with allow_large_grids it runs."""
+    monkeypatch.setattr(operators, "KERNEL_SAMPLE_GUARD", 32 ** 2 - 1)
+    for allow, code in ((False, 2), (True, 0)):
+        path = tmp_path / f"allow-{allow}.json"
+        path.write_text(json.dumps({**SMALL, "allow_large_grids": allow}))
+        out = tmp_path / f"out-{allow}"
+        assert main(["quantize", "--config", str(path), "--scheme", scheme,
+                     "--out", str(out)]) == code
 
 
 def test_parse_collects_multiple_problems():

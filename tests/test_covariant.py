@@ -13,7 +13,8 @@ from nilquant.coherent import PhasePoint, coherent_state, make_window, \
 from nilquant.covariant import (CovariantError, berezin_transform,
                                 berezin_transform_nodes, c0_decay_check, cov_at,
                                 cov_diagonal, cov_full, kernel_from_cov,
-                                norm_bound_check, square_adjoint, square_compose)
+                                norm_bound_check, norm_bound_checks, square_adjoint,
+                                square_compose)
 from nilquant.fields import Field
 from nilquant.grids import Grid, XiGrid
 from nilquant.operators import OperatorMatrix
@@ -155,6 +156,16 @@ def test_norm_bounds():
         assert rep["ratio"] <= 1.0 + 5e-2
     with pytest.raises(CovariantError):
         norm_bound_check(T, alg, w, xi, 0.3)
+
+
+def test_norm_bound_checks_equal_the_per_exponent_calls():
+    alg, grid, xi, coarse, w = setup()
+    T, _ = berezin_op(alg, w, grid, xi, seed=10)
+    ps = (1.0, 2.0, 3.5, math.inf)
+    assert norm_bound_checks(T, alg, w, xi, ps) == [norm_bound_check(T, alg, w, xi, p)
+                                                    for p in ps]
+    with pytest.raises(CovariantError):
+        norm_bound_checks(T, alg, w, xi, (2.0, 0.3))
 
 
 def test_norm_bound_rank_one_equality():

@@ -3,7 +3,8 @@ plain, tau-ordered and magnetic quantizers and the covariance points,
 including off-centre, underflowing and vanishing windows: the real-
 exponential split of complex symbols (one full block) and the Hermitian half
 of real ones (upper-triangle blocks, mirrored) against the fused complex-exp
-loop, and the chunks of z nodes against the per-node loop."""
+loop, and the chunks of z nodes and batches of their row data against the
+per-node loop."""
 
 import tracemalloc
 
@@ -466,23 +467,69 @@ def test_one_pair_exponent_call_per_chunk(monkeypatch):
     assert calls == [(1,), (31, 1, 1)]
 
 
+def batch_of(m, k):
+    """Nodes per row-data batch when a term chunk is one node."""
+    return CHUNK_ENTRIES // (8 * (m + k))
+
+
 @pytest.mark.parametrize("kind", sorted(CHUNK_SYMBOLS))
-def test_one_node_per_chunk_at_large_m(kind):
-    """m * m + 2 m > CHUNK_ENTRIES / 2: every call sees a single node of
-    shape (n,)."""
+def test_one_node_per_chunk_at_large_m(kind, monkeypatch):
+    """m * m + 2 m > CHUNK_ENTRIES / 2: every term chunk is a single node,
+    while the row data comes as the first node alone, then batches of
+    CHUNK_ENTRIES // (8 (m + k)) nodes and a short last batch."""
     alg = abelian(1)
     grid = Grid.box(1, 8.0, 256)
     window = make_window(alg, grid, sigma=0.8, center=[0.9])
     assert CHUNK_ENTRIES // (grid.size ** 2 + 2 * grid.size) <= 1
-    z_grid = Grid.box(1, 8.0, 7)
+    z_grid = Grid.box(1, 8.0, 40)
+    batch = batch_of(grid.size, grid.size)
+    full, rest = divmod(z_grid.size - 1, batch)
+    assert full >= 2 and rest > 1
     symbol = CHUNK_SYMBOLS[kind](1)
-    shapes = []
+    shapes, terms = [], []
+    add_terms = berezin._add_terms
+
+    def recorded(blocks, accs, nodes):
+        terms.append(nodes.stop - nodes.start)
+        add_terms(blocks, accs, nodes)
+
     row = plain_row(alg, window, grid.nodes())
-    K = assemble_kernel(symbol, z_grid.nodes(), z_grid.weight, recording(row, shapes))
+    with monkeypatch.context() as m:
+        m.setattr(berezin, "_add_terms", recorded)
+        K = assemble_kernel(symbol, z_grid.nodes(), z_grid.weight, recording(row, shapes))
     ref = per_node_split(symbol, z_grid.nodes(), z_grid.weight, row)
-    assert shapes == [(1,)] * 7
+    assert shapes == [(1,)] + [(batch, 1, 1)] * full + [(rest, 1, 1)]
+    assert terms == [1] * z_grid.size
     assert relative_gap(K, ref) <= TOL
     if kind in BITWISE_SYMBOLS:
+        assert np.array_equal(K, ref)
+
+
+def h1_large(symbol):
+    """The benchmark's H1 sizes: m = 343 rows against 125 z nodes."""
+    alg = heisenberg()
+    grid, xi = Grid.box(3, 4.5, 7), XiGrid.box(3, 3.5, 5)
+    return BerezinConfig(alg, make_window(alg, grid), grid, xi, symbol(3))
+
+
+@pytest.mark.parametrize("scheme", ["plain", "tau", "magnetic", "points"])
+@pytest.mark.parametrize("kind", sorted(CHUNK_SYMBOLS))
+def test_h1_batches_match_per_node_loop(kind, scheme, monkeypatch):
+    """At m = 343 the row data of 11 nodes is prepared at once and each node
+    adds its own term.  The Hermitian halves of real symbols equal the
+    per-node loop bitwise.  Complex symbols take the full block, split into
+    row ranges above CHUNK_ENTRIES entries, and so do distinct row and
+    column points; the ranges may round a matmul entry differently from the
+    whole block (BLAS shape and thread effects), hence the tolerance."""
+    cfg = h1_large(CHUNK_SYMBOLS[kind])
+    m, total = cfg.g_grid.size, cfg.xi_grid.g_grid.size
+    assert CHUNK_ENTRIES // (m * m + 2 * m) < 1 and (total - 1) // batch_of(m, m) >= 2
+    K = quantize(cfg, scheme)
+    ref = reference(cfg, scheme, monkeypatch, per_node_split)
+    assert np.all(np.isfinite(K))
+    assert np.max(np.abs(ref)) > 0
+    assert relative_gap(K, ref) <= TOL
+    if kind in BITWISE_SYMBOLS and scheme != "points":
         assert np.array_equal(K, ref)
 
 
@@ -497,8 +544,10 @@ def traced_peak(assemble, *args):
 
 @pytest.mark.parametrize("kind", ["real", "complex"])
 def test_h1_one_node_chunks_peak_no_higher_than_per_node_loop(kind):
-    """At m = 343 a chunk is one node: the Hermitian half (real symbol) and the
-    full block (complex symbol) need no more memory than the per-node loop."""
+    """At m = 343 a term chunk is one node and the row data comes in batches
+    of 11 nodes, two full ones here: the Hermitian half (real symbol) and
+    the full block in row ranges (complex symbol) need no more memory than
+    the per-node loop."""
     alg = heisenberg()
     grid, z_grid = Grid.box(3, 4.5, 7), Grid.box(3, 3.5, 3)
     window = make_window(alg, grid)
@@ -506,6 +555,7 @@ def test_h1_one_node_chunks_peak_no_higher_than_per_node_loop(kind):
     row = plain_row(alg, window, grid.nodes())
     args = (symbol, z_grid.nodes(), z_grid.weight, row)
     assert CHUNK_ENTRIES // (grid.size ** 2 + 2 * grid.size) < 1
+    assert (z_grid.size - 1) // batch_of(grid.size, grid.size) >= 2
     assert traced_peak(assemble_kernel, *args) <= traced_peak(per_node_split, *args)
 
 

@@ -12,8 +12,7 @@ from nilquant.grids import Grid, XiGrid
 from nilquant.pseudodiff import (WeylOperator, berezin_symbol, hs_unitarity_ratio,
                                  op_quantize, op_quantize_samples, symbol_from_kernel,
                                  symbol_of_regularizing)
-from nilquant.symbols import (GaussianSymbol, PhaseSymbol, SymbolError, XOnlySymbol,
-                              XiOnlySymbol)
+from nilquant.symbols import GaussianSymbol, PhaseSymbol, XOnlySymbol, XiOnlySymbol
 
 
 def line(N=128):
@@ -195,9 +194,3 @@ def test_symbol_of_regularizing_berezin():
     scale = np.max(np.abs(ref.values))
     assert np.max(np.abs(got.values - ref.values)) / scale < 1e-1
 
-
-def test_kernel_guard():
-    alg = abelian(1)
-    big = Grid.box(1, 10.0, 4096)
-    with pytest.raises(SymbolError):
-        op_quantize(alg, GaussianSymbol.make(1), big)
