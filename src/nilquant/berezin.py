@@ -281,8 +281,9 @@ def _kernel_row(system: WeylSystem, window: Window, targets: np.ndarray):
         zx = alg.bch(z, targets)
         g = window(zx)
         if system.dressed:
-            # node by node: with GL_ORDER circulation points per value, a
-            # batch's temporaries outgrow the cache and run slower
+            # node by node: batched, the GL_ORDER-point circulations of a
+            # potential of unknown degree outgrow the cache and run slower,
+            # and the one-point rule of an affine potential gains nothing
             phase = (system.dressing(zx, targets) if zx.ndim == 2 else
                      np.stack([system.dressing(p, targets) for p in zx]))
             g = g * np.exp(-1j * phase)

@@ -31,7 +31,7 @@ from .config import ConfigError, ExperimentConfig, load_config, parse_config
 from .exports import (field_to_csv, load_matrix, matrix_to_csv, save_matrix,
                       write_json, xi_field_to_csv)
 from .fields import random_gaussian, sample_xi
-from .magnetic import magnetic_system, potential_preset
+from .magnetic import VectorPotential, magnetic_system, potential_preset
 from .operators import schatten_norm
 from .pseudodiff import WeylOperator, op_quantize
 from .symbols import SymbolError
@@ -64,13 +64,16 @@ def cmd_algebra_validate(args) -> int:
     return EXIT_OK if rep.passed else EXIT_FAIL
 
 
+def _potential(cfg: ExperimentConfig) -> VectorPotential:
+    return potential_preset(cfg.potential_name, cfg.algebra.dim)
+
+
 def _weyl_system(cfg: ExperimentConfig) -> WeylSystem:
     """The Weyl system behind a Berezin scheme."""
     if cfg.scheme == "tau":
         return tau_system(cfg.algebra, resolve_tau(cfg.algebra, cfg.tau_name))
     if cfg.scheme == "magnetic":
-        return magnetic_system(cfg.algebra,
-                               potential_preset(cfg.potential_name, cfg.algebra.dim))
+        return magnetic_system(cfg.algebra, _potential(cfg))
     if cfg.scheme == "berezin":
         return WeylSystem(cfg.algebra)
     raise ValueError(f"unknown scheme {cfg.scheme!r}")
@@ -106,6 +109,11 @@ def cmd_quantize(args) -> int:
     # the phases; an aliasing box is recorded, not refused
     summary = {"scheme": cfg.scheme, "seed": cfg.seed, "group": cfg.algebra.name,
                "nyquist": nyquist_axes(cfg.g_grid, cfg.xi_grid.dual_grid)}
+    if cfg.scheme == "magnetic":
+        # the rule each circulation took: sized to the potential's degree
+        A = _potential(cfg)
+        summary["potential"] = {"name": A.name, "degree": A.degree,
+                                "circulation_points": A.circulation_points}
 
     if isinstance(op, WeylOperator):
         # Point-mass symbol: the operator is an exact unitary shift with no

@@ -6,8 +6,13 @@ potential along such a segment,
 
     Gamma^A[[x, y]] = integral_0^1 <log y - log x | A([x, y]_s)> ds,
 
-is computed with a fixed 32-point Gauss-Legendre rule (exact for polynomial
-potentials of degree < 64).  Left translations acquire the circulation phase
+is computed with a Gauss-Legendre rule sized to the potential: a potential
+of polynomial degree d takes ceil((d + 1)/2) points (`rule_points`), which is
+exact, so every affine potential takes the midpoint alone.  A potential of
+unknown degree (`degree=None`: a custom callable or a finite-difference
+gradient) takes `GL_ORDER` = 32 points, exact below degree 64.  Fluxes take
+the matching tensor rule on the triangle.  Left translations acquire the
+circulation phase
 
     [L^A_z u](x) = e^{i Gamma^A[[x, z^{-1}x]]} u(z^{-1} x)
 
@@ -31,6 +36,7 @@ along; the derivation is spelled out in `gauge_check`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -42,18 +48,45 @@ from .fields import Field, XiSamples
 from .grids import Grid, XiGrid
 from .operators import OperatorMatrix
 
-GL_ORDER = 32  # Gauss-Legendre points of every circulation and flux integral
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(GL_ORDER)
-_GL_NODES, _GL_WEIGHTS = (_GL_NODES + 1.0) / 2.0, _GL_WEIGHTS / 2.0  # the rule on [0, 1]
+GL_ORDER = 32  # Gauss-Legendre points of an integrand whose degree is unknown
+
+
+def rule_points(degree: int | None) -> int:
+    """Gauss-Legendre points exact on polynomials of this degree,
+    ceil((degree + 1)/2); `GL_ORDER` for an unknown degree (None)."""
+    return GL_ORDER if degree is None else degree // 2 + 1
+
+
+@lru_cache(maxsize=None)
+def _gl_rule(points: int):
+    """The `points`-point Gauss-Legendre rule on [0, 1], read-only."""
+    nodes, weights = np.polynomial.legendre.leggauss(points)
+    nodes, weights = (nodes + 1.0) / 2.0, weights / 2.0
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
+def _check_degree(degree):
+    if degree is not None and (isinstance(degree, bool) or not isinstance(degree, int)
+                               or degree < 0):
+        raise ValueError(f"a polynomial degree is an int >= 0 or None, got {degree!r}")
 
 
 @dataclass(frozen=True)
 class VectorPotential:
-    """A 1-form on G in exponential coordinates: fn(points) -> covectors."""
+    """A 1-form on G in exponential coordinates: fn(points) -> covectors.
+
+    ``degree`` is fn's polynomial degree when known; it sizes the circulation
+    rule.  None (any other callable) keeps `GL_ORDER` points.
+    """
 
     fn: Callable
     name: str = "custom"
     zero: bool = False
+    degree: int | None = None
+
+    def __post_init__(self):
+        _check_degree(self.degree)
 
     def __call__(self, points):
         return np.asarray(self.fn(np.asarray(points, float)))
@@ -62,17 +95,24 @@ class VectorPotential:
     def is_zero(self) -> bool:
         return self.zero
 
+    @property
+    def circulation_points(self) -> int:
+        """Gauss-Legendre points per segment in `circulation`; none for A == 0."""
+        return 0 if self.is_zero else rule_points(self.degree)
+
     def __add__(self, other: "VectorPotential") -> "VectorPotential":
         if self.is_zero:
             return other
         if other.is_zero:
             return self
+        unknown = self.degree is None or other.degree is None
         return VectorPotential(lambda p: self(p) + other(p),
-                               name=f"{self.name}+{other.name}")
+                               name=f"{self.name}+{other.name}",
+                               degree=None if unknown else max(self.degree, other.degree))
 
 
 def zero_potential(n: int) -> VectorPotential:
-    return VectorPotential(lambda p: np.zeros_like(p), name="zero", zero=True)
+    return VectorPotential(lambda p: np.zeros_like(p), name="zero", zero=True, degree=0)
 
 
 def landau_potential(b: float) -> VectorPotential:
@@ -82,7 +122,7 @@ def landau_potential(b: float) -> VectorPotential:
         out[..., 0] = -0.5 * b * p[..., 1]
         out[..., 1] = 0.5 * b * p[..., 0]
         return out
-    return VectorPotential(fn, name=f"landau:{b}")
+    return VectorPotential(fn, name=f"landau:{b}", degree=1)
 
 
 def linear3_potential(b: float) -> VectorPotential:
@@ -92,7 +132,7 @@ def linear3_potential(b: float) -> VectorPotential:
         out[..., 0] = -0.5 * b * p[..., 1]
         out[..., 1] = 0.5 * b * p[..., 0]
         return out
-    return VectorPotential(fn, name=f"linear3:{b}")
+    return VectorPotential(fn, name=f"linear3:{b}", degree=1)
 
 
 def potential_preset(name: str, n: int) -> VectorPotential:
@@ -117,10 +157,17 @@ def potential_preset(name: str, n: int) -> VectorPotential:
 
 @dataclass(frozen=True)
 class MagneticField:
-    """A 2-form as an antisymmetric matrix map: fn(points) -> (..., n, n)."""
+    """A 2-form as an antisymmetric matrix map: fn(points) -> (..., n, n).
+
+    ``degree`` is fn's polynomial degree when known; it sizes the flux rule.
+    """
 
     fn: Callable
     name: str = "custom"
+    degree: int | None = None
+
+    def __post_init__(self):
+        _check_degree(self.degree)
 
     def __call__(self, points):
         return np.asarray(self.fn(np.asarray(points, float)))
@@ -130,11 +177,16 @@ class MagneticField:
         m = np.asarray(matrix, float)
         if not np.allclose(m, -m.T):
             raise ValueError("a 2-form matrix must be antisymmetric")
-        return cls(lambda p: np.broadcast_to(m, p.shape[:-1] + m.shape), name="constant")
+        return cls(lambda p: np.broadcast_to(m, p.shape[:-1] + m.shape), name="constant",
+                   degree=0)
 
     @classmethod
     def from_potential(cls, A: VectorPotential, h: float = 1e-5) -> "MagneticField":
-        """B = dA by central differences: B_ij = d_i A_j - d_j A_i."""
+        """B = dA by central differences: B_ij = d_i A_j - d_j A_i.
+
+        A central difference of a polynomial lowers its degree by one, so B
+        has degree A.degree - 1 (0 for A == 0), or None with A's unknown.
+        """
         def fn(p):
             p = np.asarray(p, float)
             n = p.shape[-1]
@@ -144,7 +196,8 @@ class MagneticField:
                 dp[i] = h
                 jac[..., i, :] = (A(p + dp) - A(p - dp)) / (2.0 * h)
             return jac - np.swapaxes(jac, -1, -2)
-        return cls(fn, name=f"d({A.name})")
+        degree = None if A.degree is None else max(A.degree - 1, 0)
+        return cls(fn, name=f"d({A.name})", degree=degree)
 
 
 # ---------------------------------------------------------------------------
@@ -164,30 +217,38 @@ def segment(x, y, s):
 
 
 def circulation(A: VectorPotential, x, y):
-    """Gamma^A[[x, y]] by the fixed 32-point Gauss-Legendre rule (`GL_ORDER`),
-    exact for polynomial A of degree < 64.
+    """Gamma^A[[x, y]] by the Gauss-Legendre rule of `A.circulation_points`
+    points: along the segment the integrand <y - x | A> has A's degree, so a
+    potential of degree d takes ceil((d + 1)/2) points and is integrated
+    exactly (the midpoint alone for affine A).  A potential with
+    ``degree=None`` takes `GL_ORDER` = 32 points, exact below degree 64.
 
     Broadcasts over leading axes of x and y; antisymmetric under swapping.
     """
     x, y = np.broadcast_arrays(np.asarray(x, float), np.asarray(y, float))
     if A.is_zero:
         return np.zeros(x.shape[:-1])
+    nodes, weights = _gl_rule(A.circulation_points)
     d = y - x
-    pts = x[..., None, :] + _GL_NODES[:, None] * d[..., None, :]
+    pts = x[..., None, :] + nodes[:, None] * d[..., None, :]
     integrand = np.einsum("...i,...ki->...k", d, A(pts))
-    return integrand @ _GL_WEIGHTS
+    return integrand @ weights
 
 
 def flux_triangle(B: MagneticField, p0, p1, p2) -> float:
     """Flux of B through the flat 2-simplex with the given corner coordinates.
 
     Oriented so that it matches the circulation of a primitive along the
-    boundary loop p0 -> p1 -> p2 -> p0.
+    boundary loop p0 -> p1 -> p2 -> p0.  With the corner p0 + s u + t (1 - s) v
+    the integrand B(.)(u, v) (1 - s) has degree B.degree + 1 in s and
+    B.degree in t, so the tensor rule takes the points of a circulation of
+    that degree (`rule_points`) on both axes: the same as the circulation of
+    B's primitive, and `GL_ORDER` for ``degree=None``.
     """
     p0 = np.asarray(p0, float)
     u = np.asarray(p1, float) - p0
     v = np.asarray(p2, float) - p0
-    t, w = _GL_NODES, _GL_WEIGHTS
+    t, w = _gl_rule(rule_points(None if B.degree is None else B.degree + 1))
     s_nodes = t[:, None]
     tp_nodes = t[None, :]
     pts = (p0[None, None, :] + s_nodes[..., None] * u[None, None, :]
@@ -285,10 +346,18 @@ def stokes_residual(alg: LieAlgebra, A: VectorPotential, x, y, z,
     return abs(flux - loop)
 
 
-def grad_potential(psi: Field, h: float = 1e-6, analytic_grad=None) -> VectorPotential:
-    """d(psi) as a vector potential, by central differences unless supplied."""
+def grad_potential(psi: Field, h: float = 1e-6, analytic_grad=None,
+                   degree: int | None = None) -> VectorPotential:
+    """d(psi) as a vector potential, by central differences unless supplied.
+
+    ``degree`` is the polynomial degree of ``analytic_grad`` (one less than
+    psi's); a finite-difference gradient has none.
+    """
     if analytic_grad is not None:
-        return VectorPotential(analytic_grad, name="d(psi)")
+        return VectorPotential(analytic_grad, name="d(psi)", degree=degree)
+    if degree is not None:
+        raise ValueError("a degree describes an analytic gradient; "
+                         "a finite-difference gradient has none")
 
     def fn(p):
         p = np.asarray(p, float)
@@ -304,7 +373,7 @@ def grad_potential(psi: Field, h: float = 1e-6, analytic_grad=None) -> VectorPot
 
 
 def gauge_check(cfg: BerezinConfig, A: VectorPotential, psi: Field, z,
-                points, analytic_grad=None) -> dict:
+                points, analytic_grad=None, grad_degree=None) -> dict:
     """Both gauge-covariance identities for A -> A + d(psi).
 
     Translations: the circulation of d(psi) along a segment telescopes to the
@@ -319,19 +388,21 @@ def gauge_check(cfg: BerezinConfig, A: VectorPotential, psi: Field, z,
 
     with omega~ = e^{i psi} omega (still unit norm).  Returns both residuals;
     `gauge_translation_residual` and `gauge_berezin_residual` compute them
-    one at a time.
+    one at a time.  ``analytic_grad`` and ``grad_degree`` go to
+    `grad_potential`.
     """
     return {"translation_residual": gauge_translation_residual(
-                cfg, A, psi, z, points, analytic_grad),
-            "berezin_residual": gauge_berezin_residual(cfg, A, psi, analytic_grad)}
+                cfg, A, psi, z, points, analytic_grad, grad_degree),
+            "berezin_residual": gauge_berezin_residual(cfg, A, psi, analytic_grad,
+                                                       grad_degree)}
 
 
 def gauge_translation_residual(cfg: BerezinConfig, A: VectorPotential, psi: Field, z,
-                               points, analytic_grad=None) -> float:
+                               points, analytic_grad=None, grad_degree=None) -> float:
     """Max-relative residual of the translation identity in `gauge_check`,
     applied to the window at `points`."""
     alg = cfg.algebra
-    A2 = A + grad_potential(psi, analytic_grad=analytic_grad)
+    A2 = A + grad_potential(psi, analytic_grad=analytic_grad, degree=grad_degree)
     u = cfg.window.field
     points = np.asarray(points, float)
     lhs = mag_translation(alg, A2, z, u)(points)
@@ -343,10 +414,10 @@ def gauge_translation_residual(cfg: BerezinConfig, A: VectorPotential, psi: Fiel
 
 
 def gauge_berezin_residual(cfg: BerezinConfig, A: VectorPotential, psi: Field,
-                           analytic_grad=None) -> float:
+                           analytic_grad=None, grad_degree=None) -> float:
     """Frobenius-relative residual of the Berezin identity in `gauge_check`."""
     alg = cfg.algebra
-    A2 = A + grad_potential(psi, analytic_grad=analytic_grad)
+    A2 = A + grad_potential(psi, analytic_grad=analytic_grad, degree=grad_degree)
     K_lhs = mag_berezin(cfg, A2).kernel
     rotated = Window.normalized(Field(lambda p: np.exp(1j * psi(p)) * cfg.window(p),
                                       alg.dim), cfg.window.grid)

@@ -10,6 +10,7 @@ given platform.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -26,9 +27,10 @@ from .covariant import (berezin_transform, cov_full, kernel_from_cov,
                         norm_bound_checks, square_compose)
 from .fields import Field, gaussian, random_gaussian
 from .grids import Grid, XiGrid
-from .magnetic import (cocycle_residual, gauge_berezin_residual,
-                       gauge_translation_residual, landau_potential, linear3_potential,
-                       mag_berezin, mag_wigner, stokes_residual, zero_potential)
+from .magnetic import (circulation, cocycle_residual, gauge_berezin_residual,
+                       gauge_translation_residual, grad_potential, landau_potential,
+                       linear3_potential, mag_berezin, mag_wigner, stokes_residual,
+                       zero_potential)
 from .pseudodiff import (berezin_symbol, hs_unitarity_ratio, op_quantize,
                          op_quantize_samples)
 from .report import CheckResult, Timer, VerificationReport
@@ -611,7 +613,8 @@ def suite_tau(seed: int = 10, tol_scale: float = 1.0) -> list[CheckResult]:
 
 
 def suite_magnetic(seed: int = 11, tol_scale: float = 1.0) -> list[CheckResult]:
-    """12. Cocycle, Stokes, zero-field reductions and gauge covariance."""
+    """12. Cocycle, Stokes, zero-field reductions, gauge covariance and the
+    circulation rule sized to each potential's degree."""
     results = []
     rng = np.random.default_rng(seed)
 
@@ -677,10 +680,11 @@ def suite_magnetic(seed: int = 11, tol_scale: float = 1.0) -> list[CheckResult]:
 
     z2, points2 = rng.uniform(-1, 1, 2), rng.uniform(-1.5, 1.5, (10, 2))
     with Timer() as t:
-        res = gauge_translation_residual(cfg2, A2b, psi2, z2, points2, analytic_grad=grad2)
+        res = gauge_translation_residual(cfg2, A2b, psi2, z2, points2, analytic_grad=grad2,
+                                         grad_degree=1)
     _check(results, "magnetic_gauge_translation", res, 1e-8, t, tol_scale)
     with Timer() as t:
-        res = gauge_berezin_residual(cfg2, A2b, psi2, analytic_grad=grad2)
+        res = gauge_berezin_residual(cfg2, A2b, psi2, analytic_grad=grad2, grad_degree=1)
     _check(results, "magnetic_gauge_berezin_abelian", res, 5e-2, t, tol_scale)
 
     algH2, gridH, xiH, wH = heisenberg_setup(N_op=9)
@@ -698,11 +702,25 @@ def suite_magnetic(seed: int = 11, tol_scale: float = 1.0) -> list[CheckResult]:
 
     zH, pointsH = rng.uniform(-0.8, 0.8, 3), rng.uniform(-1.5, 1.5, (10, 3))
     with Timer() as t:
-        res = gauge_translation_residual(cfgH, AH2, psiH, zH, pointsH, analytic_grad=gradH)
+        res = gauge_translation_residual(cfgH, AH2, psiH, zH, pointsH, analytic_grad=gradH,
+                                         grad_degree=1)
     _check(results, "magnetic_gauge_translation_h1", res, 1e-8, t, tol_scale)
     with Timer() as t:
-        res = gauge_berezin_residual(cfgH, AH2, psiH, analytic_grad=gradH)
+        res = gauge_berezin_residual(cfgH, AH2, psiH, analytic_grad=gradH, grad_degree=1)
     _check(results, "magnetic_gauge_berezin_h1", res, 5e-2, t, tol_scale)
+
+    # the rule sized to each potential's degree against the GL_ORDER rule it
+    # replaced, for every potential above, on segments across the grid boxes
+    with Timer() as t:
+        worst = 0.0
+        for n, A in ((2, A2), (3, AH), (2, A2b), (3, AH2),
+                     (2, A2b + grad_potential(psi2, analytic_grad=grad2, degree=1)),
+                     (3, AH2 + grad_potential(psiH, analytic_grad=gradH, degree=1))):
+            x, y = rng.uniform(-4.0, 4.0, (2, 200, n))
+            full = circulation(dataclasses.replace(A, degree=None), x, y)
+            gap = np.max(np.abs(circulation(A, x, y) - full)) / np.max(np.abs(full))
+            worst = max(worst, float(gap))
+    _check(results, "magnetic_circulation_rule", worst, 1e-12, t, tol_scale)
     return results
 
 

@@ -400,6 +400,21 @@ def test_cli_magnetic_nonzero_potential(tmp_path):
     assert summary["scheme"] == "magnetic" and summary["hermiticity_residual"] < 1e-12
 
 
+@pytest.mark.parametrize("potential,degree,points",
+                         [("linear3:0.5", 1, 1), ("zero", 0, 0)])
+def test_cli_magnetic_summary_records_the_circulation_rule(tmp_path, potential, degree,
+                                                           points):
+    # the zero potential builds the plain system: no circulation is taken
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(H1_SMALL))
+    out = tmp_path / "q"
+    assert main(["quantize", "--config", str(path), "--scheme", "magnetic",
+                 "--potential", potential, "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["potential"] == {"name": potential, "degree": degree,
+                                    "circulation_points": points}
+
+
 def test_report_determinism():
     a = run_suites("weyl", seed=5)
     b = run_suites("weyl", seed=5)

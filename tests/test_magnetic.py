@@ -1,4 +1,8 @@
-"""Magnetic translations, fluxes, the cocycle relation and gauge covariance."""
+"""Magnetic translations, fluxes, the cocycle relation and gauge covariance,
+and the circulation and flux rules sized to the potential's degree against
+the GL_ORDER rule they replaced."""
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -10,12 +14,12 @@ from nilquant.coherent import (NyquistWarning, PhasePoint, fourier_wigner, make_
                                weyl_adjoint)
 from nilquant.fields import Field, gaussian, random_gaussian
 from nilquant.grids import Grid, XiGrid
-from nilquant.magnetic import (MagneticField, VectorPotential, circulation,
+from nilquant.magnetic import (GL_ORDER, MagneticField, VectorPotential, circulation,
                                cocycle_flux, cocycle_residual, flux_triangle,
                                gauge_check, grad_potential, landau_potential,
                                linear3_potential, mag_berezin, mag_coherent,
                                mag_translation, mag_weyl, mag_wigner,
-                               potential_preset, segment, stokes_residual,
+                               potential_preset, rule_points, segment, stokes_residual,
                                zero_potential)
 from nilquant.symbols import GaussianSymbol
 from nilquant.transforms import inner, l2_norm
@@ -295,3 +299,186 @@ def test_suite_times_gauge_checks_separately(monkeypatch):
         # residual assembles two kernels, the translation one evaluates ten
         # points
         assert seconds[translation] < seconds[berezin]
+
+
+# -- circulation and flux rules sized to the degree ---------------------------
+
+RULE_TOL = 1e-12
+
+
+def full_rule(A):
+    """A potential or field with its degree forgotten: it takes the GL_ORDER
+    rule every circulation and flux took before the rules were sized."""
+    return dataclasses.replace(A, degree=None)
+
+
+def relative_gap(got, ref):
+    return float(np.max(np.abs(got - ref)) / np.max(np.abs(ref)))
+
+
+def quadratic_potential():
+    """The degree-2 potential of the kernel-assembly tests."""
+    return VectorPotential(lambda p: 0.5 * p + 0.2 * p ** 2, name="quadratic", degree=2)
+
+
+PSI_H1 = Field(lambda p: 0.5 * p[..., 0] * p[..., 1] + 0.3 * p[..., 2], 3)
+
+
+def grad_h1(p):
+    """d(PSI_H1): affine."""
+    out = np.empty_like(p)
+    out[..., 0] = 0.5 * p[..., 1]
+    out[..., 1] = 0.5 * p[..., 0]
+    out[..., 2] = 0.3
+    return out
+
+
+def test_potential_and_field_degrees():
+    custom = VectorPotential(lambda p: np.sin(p))
+    grad1 = grad_potential(Field(lambda p: p[..., 0] * p[..., 1], 2),
+                           analytic_grad=lambda p: p[..., ::-1].copy(), degree=1)
+    assert zero_potential(2).degree == 0
+    assert landau_potential(0.5).degree == linear3_potential(0.5).degree == 1
+    assert potential_preset("landau:0.5", 2).degree == 1
+    assert potential_preset("linear3:0.5", 3).degree == 1
+    assert (landau_potential(0.5) + grad1).degree == 1
+    assert (landau_potential(0.5) + quadratic_potential()).degree == 2
+    assert (zero_potential(2) + quadratic_potential()).degree == 2
+    assert custom.degree is None and (landau_potential(0.5) + custom).degree is None
+    assert grad_potential(Field(lambda p: p[..., 0] ** 2, 2)).degree is None
+    assert MagneticField.constant([[0.0, 1.0], [-1.0, 0.0]]).degree == 0
+    assert MagneticField.from_potential(landau_potential(0.5)).degree == 0
+    assert MagneticField.from_potential(quadratic_potential()).degree == 1
+    assert MagneticField.from_potential(zero_potential(2)).degree == 0
+    assert MagneticField.from_potential(custom).degree is None
+    for bad in (-1, 1.5, True, "1"):
+        with pytest.raises(ValueError):
+            VectorPotential(lambda p: p, degree=bad)
+        with pytest.raises(ValueError):
+            MagneticField(lambda p: p, degree=bad)
+    with pytest.raises(ValueError):  # a finite-difference gradient has no degree
+        grad_potential(Field(lambda p: p[..., 0] ** 2, 2), degree=1)
+
+
+def test_rule_points_per_degree():
+    assert GL_ORDER == 32 and rule_points(None) == GL_ORDER
+    assert [rule_points(d) for d in range(8)] == [1, 1, 2, 2, 3, 3, 4, 4]
+    assert zero_potential(2).circulation_points == 0
+    assert landau_potential(0.5).circulation_points == 1
+    assert quadratic_potential().circulation_points == 2
+    assert VectorPotential(lambda p: p).circulation_points == GL_ORDER
+
+
+@pytest.mark.parametrize("degree", range(7))
+def test_sized_rule_is_exact_and_tight(degree):
+    """On the line, A(p) = p^d from 0 to 1 circulates to 1/(d + 1) with the
+    sized rule; declared one degree lower, an even degree loses a point and
+    the rule is no longer exact."""
+    A = VectorPotential(lambda p: p ** degree, degree=degree)
+    x, y = np.zeros(1), np.ones(1)
+    assert abs(float(circulation(A, x, y)) - 1.0 / (degree + 1)) < 1e-15
+    if degree % 2 == 0 and degree > 0:
+        low = dataclasses.replace(A, degree=degree - 1)
+        assert abs(float(circulation(low, x, y)) - 1.0 / (degree + 1)) > 1e-6
+
+
+def test_unknown_degree_keeps_the_32_point_rule_bitwise():
+    """A potential of unknown degree takes the route circulation and
+    flux_triangle ran before the rules were sized, bit for bit."""
+    t, w = np.polynomial.legendre.leggauss(32)
+    t, w = (t + 1.0) / 2.0, w / 2.0
+    A = full_rule(linear3_potential(0.6)) + VectorPotential(lambda p: np.cos(p))
+    rng = np.random.default_rng(20)
+    x, y = rng.uniform(-2.0, 2.0, (2, 9, 3))
+    d = y - x
+    pts = x[..., None, :] + t[:, None] * d[..., None, :]
+    ref = np.einsum("...i,...ki->...k", d, A(pts)) @ w
+    assert np.array_equal(circulation(A, x, y), ref)
+
+    B = full_rule(MagneticField.constant([[0.0, 0.7], [-0.7, 0.0]]))
+    p0, p1, p2 = rng.uniform(-1.0, 1.0, (3, 2))
+    u, v = p1 - p0, p2 - p0
+    s_nodes, tp_nodes = t[:, None], t[None, :]
+    tri = (p0[None, None, :] + s_nodes[..., None] * u[None, None, :]
+           + (tp_nodes * (1.0 - s_nodes))[..., None] * v[None, None, :])
+    vals = np.einsum("i,abij,j->ab", u, B(tri), v)
+    jac = (1.0 - s_nodes) * np.ones_like(tp_nodes)
+    assert flux_triangle(B, p0, p1, p2) == float(np.einsum("a,ab,b->", w, vals * jac, w))
+
+
+@pytest.mark.parametrize("alg", [abelian(2), heisenberg()], ids=["abelian:2", "heisenberg:1"])
+def test_random_affine_potentials_match_the_full_rule(alg):
+    """The one-point rule against the 32-point rule on the translation
+    segments [x, z^{-1}x] and the magnetic translations built from them."""
+    n = alg.dim
+    rng = np.random.default_rng(21)
+    u = gaussian(n, center=np.full(n, 0.2))
+    for _ in range(5):
+        M, c = rng.normal(size=(n, n)), rng.normal(size=n)
+        A = VectorPotential(lambda p, M=M, c=c: p @ M.T + c, name="affine", degree=1)
+        assert A.circulation_points == 1
+        x = rng.uniform(-3.0, 3.0, (50, n))
+        z = rng.uniform(-1.5, 1.5, n)
+        back = alg.bch(alg.inv(z), x)
+        assert relative_gap(circulation(A, x, back),
+                            circulation(full_rule(A), x, back)) <= RULE_TOL
+        assert relative_gap(mag_translation(alg, A, z, u)(x),
+                            mag_translation(alg, full_rule(A), z, u)(x)) <= RULE_TOL
+
+
+def test_degree_two_potential_takes_two_points():
+    rng = np.random.default_rng(22)
+    for n in (1, 3):
+        A = quadratic_potential()
+        x, y = rng.uniform(-3.0, 3.0, (2, 40, n))
+        ref = circulation(full_rule(A), x, y)
+        assert relative_gap(circulation(A, x, y), ref) <= RULE_TOL
+        # the midpoint alone misses the quadratic part
+        assert relative_gap(circulation(dataclasses.replace(A, degree=1), x, y), ref) > 1e-3
+
+
+def test_flux_triangle_sized_rule():
+    """Constant and affine fields against the 32-point rule and the closed
+    form (signed area times B at the centroid); Stokes with a degree-2
+    potential, whose finite-difference field is affine."""
+    def affine_field(p):
+        b = 0.4 - 0.3 * p[..., 1]
+        out = np.zeros(p.shape[:-1] + (2, 2))
+        out[..., 0, 1], out[..., 1, 0] = b, -b
+        return out
+
+    const = MagneticField.constant([[0.0, 1.3], [-1.3, 0.0]])
+    affine = MagneticField(affine_field, degree=1)
+    rng = np.random.default_rng(23)
+    for _ in range(10):
+        p0, p1, p2 = rng.uniform(-2.0, 2.0, (3, 2))
+        u, v = p1 - p0, p2 - p0
+        area = 0.5 * (u[0] * v[1] - u[1] * v[0])
+        centroid = (p0 + p1 + p2) / 3.0
+        for B, exact in ((const, 1.3 * area), (affine, (0.4 - 0.3 * centroid[1]) * area)):
+            got = flux_triangle(B, p0, p1, p2)
+            assert abs(got - exact) < 1e-13
+            assert abs(got - flux_triangle(full_rule(B), p0, p1, p2)) <= RULE_TOL * (
+                1.0 + abs(exact))
+    A = VectorPotential(lambda p: np.stack([0.2 * p[..., 1] ** 2,
+                                            0.4 * p[..., 0] + 0.1 * p[..., 0] * p[..., 1]],
+                                           axis=-1), name="quadratic2", degree=2)
+    assert MagneticField.from_potential(A).degree == 1
+    for _ in range(5):
+        x, y, z = rng.uniform(-1.0, 1.0, (3, 2))
+        assert stokes_residual(abelian(2), A, x, y, z) < 1e-8
+
+
+def test_mag_berezin_kernels_match_the_full_rule_at_m343():
+    """The benchmark's H1 sizes (m = 343 rows, 125 z nodes): linear3 and the
+    gauge sum linear3 + d(psi) against the 32-point route."""
+    alg = heisenberg()
+    grid, xi = Grid.box(3, 4.5, 7), XiGrid.box(3, 3.5, 5)
+    cfg = BerezinConfig(alg, make_window(alg, grid), grid, xi,
+                        GaussianSymbol.make(3, amplitude=0.9, x_center=[0.3, -0.2, 0.1]))
+    A = linear3_potential(0.6)
+    for pot in (A, A + grad_potential(PSI_H1, analytic_grad=grad_h1, degree=1)):
+        assert pot.circulation_points == 1
+        K = mag_berezin(cfg, pot).kernel
+        assert K.shape == (343, 343)
+        assert relative_gap(K, mag_berezin(cfg, full_rule(pot)).kernel) <= RULE_TOL
