@@ -95,8 +95,9 @@ def cov_diagonal(T: OperatorMatrix, alg: LieAlgebra, w: Window,
     """Cov(T) on the Xi nodes (flattened C order)."""
     S = coherent_state_bank(alg, w, xi_grid, T.grid)
     vol = T.grid.weight
-    TS = (vol * T.kernel) @ S.T                            # (m, n_xi)
-    return vol * np.einsum("im,mi->i", np.conjugate(S), TS)
+    # (T omega_Z)(x_m) laid out like S, so the contraction walks both by rows
+    ST = S @ (vol * T.kernel).T                            # (n_xi, m)
+    return vol * np.einsum("im,im->i", np.conjugate(S), ST)
 
 
 def square_compose(F: CovSymbol, G: CovSymbol) -> CovSymbol:

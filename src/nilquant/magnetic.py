@@ -186,18 +186,35 @@ class MagneticField:
 
         A central difference of a polynomial lowers its degree by one, so B
         has degree A.degree - 1 (0 for A == 0), or None with A's unknown.
+        For A of degree <= 1, dA is constant and a central difference is
+        exact at any step, up to the rounding of A's values: it is taken
+        once, with unit steps at the origin, and returned at every point
+        (`h` is not used).
         """
-        def fn(p):
-            p = np.asarray(p, float)
+        def curl(p, step):
             n = p.shape[-1]
             jac = np.empty(p.shape[:-1] + (n, n))
             for i in range(n):
                 dp = np.zeros(n)
-                dp[i] = h
-                jac[..., i, :] = (A(p + dp) - A(p - dp)) / (2.0 * h)
+                dp[i] = step
+                jac[..., i, :] = (A(p + dp) - A(p - dp)) / (2.0 * step)
             return jac - np.swapaxes(jac, -1, -2)
-        degree = None if A.degree is None else max(A.degree - 1, 0)
-        return cls(fn, name=f"d({A.name})", degree=degree)
+
+        if A.degree is not None and A.degree <= 1:
+            @lru_cache(maxsize=None)
+            def constant(n):
+                b = curl(np.zeros(n), 1.0)
+                b.flags.writeable = False
+                return b
+
+            def fn(p):
+                b = constant(p.shape[-1])
+                return np.broadcast_to(b, p.shape[:-1] + b.shape)
+            return cls(fn, name=f"d({A.name})", degree=0)
+
+        degree = None if A.degree is None else A.degree - 1
+        return cls(lambda p: curl(np.asarray(p, float), h), name=f"d({A.name})",
+                   degree=degree)
 
 
 # ---------------------------------------------------------------------------

@@ -101,6 +101,40 @@ def test_field_from_potential_matches_constant():
     assert np.allclose(vals + np.swapaxes(vals, -1, -2), 0.0, atol=1e-12)
 
 
+def _central_difference_field(A, p, h=1e-5):
+    """B = dA by central differences of step h at each point, the route of
+    `MagneticField.from_potential` for a potential of degree >= 2 or unknown."""
+    n = p.shape[-1]
+    jac = np.empty(p.shape[:-1] + (n, n))
+    for i in range(n):
+        dp = np.zeros(n)
+        dp[i] = h
+        jac[..., i, :] = (A(p + dp) - A(p - dp)) / (2.0 * h)
+    return jac - np.swapaxes(jac, -1, -2)
+
+
+def test_field_of_an_affine_potential_is_exact_and_constant():
+    pts = np.random.default_rng(4).uniform(-3, 3, (2, 5, 3))
+    for A, n, b in ((landau_potential(0.6), 2, 0.6), (linear3_potential(0.5), 3, 0.5),
+                    (linear3_potential(0.5) + grad_potential(PSI_H1, analytic_grad=grad_h1,
+                                                             degree=1), 3, 0.5)):
+        want = np.zeros((n, n))
+        want[0, 1], want[1, 0] = b, -b
+        vals = MagneticField.from_potential(A)(pts[..., :n])
+        assert vals.shape == (2, 5, n, n)
+        assert np.array_equal(vals, np.broadcast_to(want, vals.shape))
+    assert np.array_equal(MagneticField.from_potential(zero_potential(3))(pts),
+                          np.zeros((2, 5, 3, 3)))
+
+
+def test_field_of_a_quadratic_or_unknown_potential_keeps_the_differences():
+    pts = np.random.default_rng(6).uniform(-2, 2, (7, 2))
+    custom = VectorPotential(lambda p: np.sin(p), name="sin")
+    for A in (quadratic_potential(), custom):
+        got = MagneticField.from_potential(A)(pts)
+        assert np.array_equal(got, _central_difference_field(A, pts))
+
+
 def test_stokes_flux_vs_boundary():
     rng = np.random.default_rng(5)
     for alg, A in ((abelian(2), landau_potential(0.7)),

@@ -203,6 +203,27 @@ def test_covariant_symbols_reuse_one_bank(fresh_memo, monkeypatch):
     assert builds == [1]
 
 
+def column_cov_diagonal(T, alg, w, xi):
+    """The contraction cov_diagonal took before: T S^T, (m, n_xi), read down
+    its columns."""
+    S = coherent.coherent_state_bank(alg, w, xi, T.grid)
+    vol = T.grid.weight
+    return vol * np.einsum("im,mi->i", np.conjugate(S), (vol * T.kernel) @ S.T)
+
+
+@pytest.mark.parametrize("group", ["line", "h1"])
+def test_cov_diagonal_matches_the_column_contraction(group):
+    cfg, _ = bt_case(group)
+    rng = np.random.default_rng(7)
+    m = cfg.g_grid.size
+    T = OperatorMatrix(cfg.g_grid, rng.standard_normal((m, m))
+                       + 1j * rng.standard_normal((m, m)))
+    got = cov_diagonal(T, cfg.algebra, cfg.window, cfg.xi_grid)
+    want = column_cov_diagonal(T, cfg.algebra, cfg.window, cfg.xi_grid)
+    assert got.shape == (cfg.xi_grid.size,)
+    assert relative_gap(got, want) <= 1e-13
+
+
 # ---------------------------------------------------------------------------
 # the Berezin transform: one batch against one Bargmann transform per point
 # ---------------------------------------------------------------------------
