@@ -19,7 +19,7 @@ from .coherent import (PhasePoint, Window, bargmann, bargmann_adjoint, coherent_
 from .covariant import (CovSymbol, berezin_transform, c0_decay_check, cov_at, cov_full,
                         kernel_from_cov, norm_bound_check, norm_bound_checks, square_adjoint,
                         square_compose)
-from .fields import Field, XiSamples, gaussian, gridded_field, sample_xi
+from .fields import Field, GaussianFactor, XiSamples, gaussian, gridded_field, sample_xi
 from .grids import Grid, XiGrid
 from .magnetic import (MagneticField, VectorPotential, circulation, flux_triangle,
                        landau_potential, linear3_potential, mag_berezin, mag_coherent,

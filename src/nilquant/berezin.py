@@ -49,11 +49,12 @@ import numpy as np
 
 from .algebra import LieAlgebra
 from .coherent import Window, PhasePoint, WeylSystem, bargmann, coherent_state, \
-    fourier_wigner, fourier_wigner_at
+    fourier_wigner, weyl
 from .fields import Field, sample_xi
 from .grids import Grid, XiGrid
 from .operators import OperatorMatrix
 from .symbols import DeltaSymbol, PhaseSymbol, SymbolError, XOnlySymbol, XiSymbol
+from .transforms import inner
 
 
 @dataclass
@@ -84,8 +85,8 @@ def berezin_weak(cfg: BerezinConfig, u: Field, v: Field) -> complex:
     """<Ber(f) u, v> by phase-space quadrature of f FW[u,w] conj(FW[v,w])."""
     if isinstance(cfg.symbol, DeltaSymbol):
         p = PhasePoint(cfg.symbol.z, cfg.symbol.zeta)
-        a = fourier_wigner_at(cfg.algebra, u, cfg.window.field, cfg.g_grid, p)
-        b = fourier_wigner_at(cfg.algebra, v, cfg.window.field, cfg.g_grid, p)
+        a = inner(weyl(cfg.algebra, p, u), cfg.window.field, cfg.g_grid)
+        b = inner(weyl(cfg.algebra, p, v), cfg.window.field, cfg.g_grid)
         return cfg.symbol.mass * a * np.conjugate(b)
     wu = fourier_wigner(cfg.algebra, u, cfg.window.field, cfg.g_grid, cfg.xi_grid)
     wv = fourier_wigner(cfg.algebra, v, cfg.window.field, cfg.g_grid, cfg.xi_grid)

@@ -7,19 +7,11 @@ Verbs:
   export             convert a saved binary matrix to CSV
 
 Exit codes: 0 all good, 1 a check failed, 2 configuration error.
-NILQUANT_THREADS caps the BLAS worker count (set before numpy loads).
 """
-
-import os
-
-if "NILQUANT_THREADS" in os.environ:  # must precede the first numpy import
-    _n = os.environ["NILQUANT_THREADS"]
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                 "NUMEXPR_NUM_THREADS"):
-        os.environ.setdefault(_var, _n)
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np

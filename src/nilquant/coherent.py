@@ -275,15 +275,6 @@ def fourier_wigner(alg: LieAlgebra, u: Field, v: Field, g_grid: Grid,
     raise ValueError(f"unknown method {method!r}")
 
 
-def fourier_wigner_at(alg: LieAlgebra, u: Field, v: Field, g_grid: Grid,
-                      p: PhasePoint) -> complex:
-    """FW[u, v] at a single phase-space point."""
-    y = g_grid.nodes()
-    uz = u(alg.bch(alg.inv(p.zv), y))
-    phase = np.exp(1j * (y @ p.zetav))
-    return complex(g_grid.weight * np.sum(phase * uz * np.conjugate(v(y))))
-
-
 # ---------------------------------------------------------------------------
 # Coherent states
 # ---------------------------------------------------------------------------

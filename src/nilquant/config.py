@@ -25,6 +25,7 @@ from .coherent import Window
 from .fields import Field, gaussian
 from .grids import Grid, XiGrid
 from .magnetic import potential_preset
+from .report import tolerance_scale
 from .symbols import (DeltaSymbol, GaussianSymbol, PhaseSymbol, XOnlySymbol,
                       XiOnlySymbol, XiSymbol)
 from .tau import resolve_tau
@@ -251,9 +252,10 @@ def parse_config(text: str | dict) -> ExperimentConfig:
     seed = raw.get("seed", 0)
     if not isinstance(seed, int) or seed < 0:
         problems.append("seed must be a nonnegative integer")
-    tol_scale = raw.get("tolerance_scale", 1.0)
-    if not (isinstance(tol_scale, (int, float)) and tol_scale > 0):
-        problems.append("tolerance_scale must be positive")
+    try:
+        tol_scale = tolerance_scale(raw.get("tolerance_scale", 1.0))
+    except ValueError as exc:
+        problems.append(f"bad tolerance_scale: {exc}")
 
     suite = raw.get("suite", ["all"])
     if isinstance(suite, str):
@@ -268,7 +270,7 @@ def parse_config(text: str | dict) -> ExperimentConfig:
         raise ConfigError([f"bad window: {exc}"]) from None
     xi_grid = XiGrid(xi_g, xi_d)
     return ExperimentConfig(alg, g_grid, xi_grid, window, symbol, scheme,
-                            tau_name, potential_name, int(seed), float(tol_scale),
+                            tau_name, potential_name, int(seed), tol_scale,
                             list(suite), raw.get("out"), raw)
 
 

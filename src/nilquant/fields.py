@@ -1,17 +1,18 @@
 """Complex-valued fields on the group, the dual, and the phase space.
 
 Analytic fields wrap a vectorized evaluator and can be evaluated at arbitrary
-points, which is what the translation-heavy formulas need (arguments like
-z^{-1}x never hit grid nodes).  Gridded fields interpolate multilinearly
-inside their box and vanish outside; anything computed through them carries
-an ``interpolated`` flag so downstream checks can tell exact evaluations from
-approximate ones.
+points, which the translation-heavy formulas need (arguments like z^{-1}x
+never hit grid nodes).  Gridded fields interpolate multilinearly inside their
+box and vanish outside; anything computed through them carries an
+``interpolated`` flag so checks can tell exact evaluations from approximate
+ones.  `GaussianFactor` is the one Gaussian: windows, test fields (`gaussian`)
+and the factors of Gaussian symbols, with its closed-form dual transform.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -133,50 +134,117 @@ def sample_xi(fn, xi_grid: XiGrid) -> XiSamples:
 
 
 # ---------------------------------------------------------------------------
-# Gaussian test data
+# Gaussians
 # ---------------------------------------------------------------------------
+
+TWO_PI = 2.0 * math.pi
+
+
+def _components(value, n: int, what: str) -> np.ndarray:
+    """A scalar (broadcast) or n components as a fresh float array; None is 0."""
+    v = np.asarray(0.0 if value is None else value, float)
+    if v.shape not in ((), (n,)):
+        raise ValueError(f"Gaussian {what} must have {n} components, got shape {v.shape}")
+    return np.broadcast_to(v, (n,)).copy()
+
+
+@dataclass(frozen=True)
+class GaussianFactor:
+    """g(t) = amplitude exp(-|t - center|^2 / (2 sigma^2)) exp(i <t | phase>),
+    per-axis sigma: the one Gaussian behind windows, test fields and the
+    factors of Gaussian symbols, with its dual transform
+
+        (2 pi)^{-n} integral g(t) e^{-i<V|t>} dt = scale exp(i<w|center> - |sigma w|^2/2),
+        w = phase - V,  scale = amplitude prod_k sigma_k / sqrt(2 pi).
+    """
+
+    center: np.ndarray
+    sigma: np.ndarray
+    phase: np.ndarray
+    amplitude: complex = 1.0
+
+    @classmethod
+    def make(cls, n, center=None, sigma=1.0, phase=None, amplitude=1.0) -> "GaussianFactor":
+        """Scalars broadcast over the axes; amplitude None gives unit L2 norm.
+        Raises ValueError for widths not finite and positive, centers or
+        phases not finite or not n components, and a non-finite amplitude."""
+        center, sigma, phase = (_components(v, n, what) for v, what in
+                                ((center, "center"), (sigma, "width"), (phase, "phase")))
+        if not (np.all(np.isfinite(sigma)) and np.all(sigma > 0)):
+            raise ValueError(f"Gaussian widths must be finite and positive, got {sigma.tolist()}")
+        if not (np.all(np.isfinite(center)) and np.all(np.isfinite(phase))):
+            raise ValueError("Gaussian centers and phases must be finite")
+        if amplitude is None:  # after the width check, which keeps it finite
+            amplitude = math.pi ** (-n / 4.0) / math.sqrt(float(np.prod(sigma)))
+        elif not np.isfinite(amplitude):
+            raise ValueError(f"Gaussian amplitude must be finite, got {amplitude}")
+        return cls(center, sigma, phase, amplitude)
+
+    @property
+    def n(self) -> int:
+        return len(self.center)
+
+    def __call__(self, t) -> np.ndarray:
+        """Complex values at points t (..., n); without a phase, the amplitude
+        times one real exp (tens of times cheaper than the complex exp, equal
+        to it up to its last bit), still complex: callers multiply phases in."""
+        t = np.asarray(t, float)
+        d = (t - self.center) / self.sigma
+        quad = -0.5 * np.einsum("...i,...i->...", d, d)
+        if not self.phase.any():
+            return np.multiply(self.amplitude, np.exp(quad), dtype=complex)
+        ph = np.einsum("...i,i->...", t, self.phase)
+        return self.amplitude * np.exp(quad + 1j * ph)
+
+    def _scale(self):
+        return self.amplitude * float(np.prod(self.sigma / math.sqrt(TWO_PI)))
+
+    def transform_exponent(self, V):
+        """(scale, exponent) with transform(V) = scale * exp(exponent)."""
+        w = self.phase - np.asarray(V, float)
+        quad = -0.5 * np.einsum("...i,i,...i->...", w, self.sigma ** 2, w)
+        ph = np.einsum("...i,i->...", w, self.center)
+        return self._scale(), quad + 1j * ph
+
+    def transform(self, V) -> np.ndarray:
+        """(2 pi)^{-n} integral g(t) e^{-i <V | t>} dt at points V (..., n)."""
+        scale, exponent = self.transform_exponent(V)
+        return scale * np.exp(exponent)
+
+    def pair_exponent(self, P, Q):
+        """(scale, row, col, Xs, Q) with transform(P_i - Q_j) =
+        scale * exp(row_i + col_j - (Xs @ Q.T)_ij), the real cross term given
+        as its two factors.  P (..., m, n) and Q (..., k, n) may share leading
+        axes (a chunk of z nodes); row, col, Xs and Q then carry them too."""
+        s2 = self.sigma ** 2
+        A = self.phase - np.asarray(P, float)
+        Q = np.asarray(Q, float)
+        row = -0.5 * np.einsum("...k,k,...k->...", A, s2, A) + 1j * (A @ self.center)
+        col = -0.5 * np.einsum("...k,k,...k->...", Q, s2, Q) + 1j * (Q @ self.center)
+        return self._scale(), row, col, A * s2, Q
+
+    def integral(self) -> complex:
+        """integral g dt, phase included."""
+        phase = np.exp(1j * (self.phase @ self.center)
+                       - 0.5 * np.sum(self.sigma ** 2 * self.phase ** 2))
+        return complex(self.amplitude * phase * self.abs_power_integral(1.0))
+
+    def abs_power_integral(self, s: float) -> float:
+        """integral |g / amplitude|^s dt = prod_k sqrt(2 pi sigma_k^2 / s)."""
+        return float(np.prod(np.sqrt(TWO_PI * self.sigma ** 2 / s)))
+
+    def translate(self, shift) -> "GaussianFactor":
+        return replace(self, center=self.center + _components(shift, self.n, "shift"))
+
+    def conjugate(self) -> "GaussianFactor":
+        return replace(self, phase=-self.phase, amplitude=self.amplitude.conjugate())
+
 
 def gaussian(n: int, sigma=1.0, center=None, modulation=None,
              amplitude=None, domain: str = DOMAIN_GROUP) -> Field:
-    """Gaussian with optional linear phase:
-
-        amplitude * exp(-|x - center|^2 / (2 sigma^2)) * exp(i <x | modulation>)
-
-    With the default amplitude the field has unit L2 norm on R^n.  Without a
-    modulation (or with an all-zero one) the values are amplitude times one
-    real exp, tens of times cheaper than the complex exp of the phased form
-    and equal to it up to the last bit of that exp; they are still returned
-    as a complex array, since callers multiply phases into them in place.
-    Raises
-    ValueError for a width that is not finite and positive, a center that is
-    not finite or not n components, and a modulation or amplitude that is
-    not finite.
-    """
-    sig = np.broadcast_to(np.asarray(sigma, float), (n,)).copy()
-    c = np.zeros(n) if center is None else np.asarray(center, float)
-    m = np.zeros(n) if modulation is None else np.asarray(modulation, float)
-    if c.shape not in ((), (n,)):
-        raise ValueError(f"Gaussian center must have {n} components, got shape {c.shape}")
-    if not (np.all(np.isfinite(sig)) and np.all(sig > 0)):
-        raise ValueError(f"Gaussian widths must be finite and positive, got {sig.tolist()}")
-    if not (np.all(np.isfinite(c)) and np.all(np.isfinite(m))):
-        raise ValueError("Gaussian centers and modulations must be finite")
-    if amplitude is None:
-        amplitude = math.pi ** (-n / 4.0) / math.sqrt(float(np.prod(sig)))
-    elif not np.isfinite(amplitude):
-        raise ValueError(f"Gaussian amplitude must be finite, got {amplitude}")
-
-    phased = bool(np.any(m))
-
-    def fn(p):
-        d = (p - c) / sig
-        quad = -0.5 * np.einsum("...i,...i->...", d, d)
-        if not phased:
-            return np.multiply(amplitude, np.exp(quad), dtype=complex)
-        phase = np.einsum("...i,i->...", p, m)
-        return amplitude * np.exp(quad + 1j * phase)
-
-    return Field(fn, n, domain)
+    """Field of `GaussianFactor.make(n, center, sigma, modulation, amplitude)`,
+    of unit L2 norm on R^n by default; raises ValueError as that does."""
+    return Field(GaussianFactor.make(n, center, sigma, modulation, amplitude), n, domain)
 
 
 def random_gaussian(rng: np.random.Generator, n: int, center_scale: float = 1.0,

@@ -86,13 +86,8 @@ def op_quantize(alg: LieAlgebra, symbol: XiSymbol, grid: Grid,
     except SymbolError:
         if dual_grid is None:
             raise
-        if not dual_grid.dual:
-            dual_grid = dual_grid.as_dual()
-        zeta = dual_grid.nodes()
-        K = np.empty((len(x), len(x)), dtype=complex)
-        for i in range(len(x)):
-            avals = symbol(np.broadcast_to(x[i], zeta.shape), zeta)
-            K[i] = dual_grid.weight * dual_phase_points(avals, V[i], dual_grid, 1)
+        samples = symbol(x[:, None, :], dual_grid.nodes()[None, :, :])
+        return op_quantize_samples(alg, samples, grid, dual_grid)
     return OperatorMatrix(grid, np.asarray(K, dtype=complex))
 
 

@@ -2,8 +2,17 @@
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
+
+
+def tolerance_scale(value) -> float:
+    """`value` as a tolerance scale.  Raises ValueError unless it is a finite
+    positive number: an infinite scale would pass every check."""
+    if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
+        raise ValueError(f"tolerance scale must be finite and positive, got {value!r}")
+    return float(value)
 
 
 @dataclass

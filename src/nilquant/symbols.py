@@ -9,19 +9,17 @@ f(x, xi), the two partial transforms
                  = hat2(x, -V)
 
 The test library is built from Gaussians in x and xi with optional linear
-phases; each ships its exact transforms and exact L^p(Xi) norms.  Point-mass
-cases that cannot be sampled (a delta symbol on Xi, the pure Weyl phase,
-symbols constant in one variable) are dedicated classes that quantizers
-special-case.
-
-The quadratic exponents arising from Gaussian transforms evaluated at
-V = P_i - Q_j split as row + column - cross terms with a real cross term of
-rank n, returned as its two factors (cross = Xs @ Q.T); the (i, j) matrix of
-transform values then costs one small matrix product, one real exp and two
-unit phase vectors, the hot path of every Berezin-type assembly.  The split
-broadcasts over a leading axis of z nodes (x of shape (c, 1, n), P and Q of
-shapes (c, m, n) and (c, k, n)), so an assembly evaluates a whole chunk of
-nodes in one call (`berezin.assemble_kernel`).
+phases, each a `fields.GaussianFactor` that owns the closed forms: the dual
+transform, its exponent at V = P_i - Q_j split as row + column - cross with
+a real cross term of rank n (cross = Xs @ Q.T), and the integrals.  The
+(i, j) matrix of transform values then costs one small matrix product, one
+real exp and two unit phase vectors, the hot path of every Berezin-type
+assembly.  The split broadcasts over a leading axis of z nodes (x of shape
+(c, 1, n), P and Q of shapes (c, m, n) and (c, k, n)), so an assembly
+evaluates a whole chunk of nodes in one call (`berezin.assemble_kernel`).
+Point-mass cases that cannot be sampled (a delta symbol on Xi, the pure Weyl
+phase, symbols constant in one variable) are dedicated classes that
+quantizers special-case.
 """
 
 from __future__ import annotations
@@ -31,22 +29,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-TWO_PI = 2.0 * math.pi
+from .fields import TWO_PI, GaussianFactor
 
 
 class SymbolError(ValueError):
     pass
-
-
-def _vec(value, n) -> np.ndarray:
-    if value is None:
-        return np.zeros(n)
-    if np.isscalar(value):
-        return np.full(n, float(value))
-    out = np.asarray(value, float)
-    if out.shape != (n,):
-        raise SymbolError(f"expected {n} components, got {out.shape}")
-    return out
 
 
 def _phase_point(z, zeta) -> tuple[np.ndarray, np.ndarray]:
@@ -60,68 +47,12 @@ def _phase_point(z, zeta) -> tuple[np.ndarray, np.ndarray]:
     return z, zeta
 
 
-def _pair_exponent(sigma: np.ndarray, center: np.ndarray, phase: np.ndarray,
-                   P: np.ndarray, Q: np.ndarray):
-    """Split the Gaussian-transform exponent at V = P_i - Q_j into
-    row + col - cross form:
-
-        i <w | center> - |sigma w|^2 / 2,   w = phase - P_i + Q_j,
-
-    so the (i, j) matrix of exponents is row[:, None] + col[None, :] - cross
-    with cross = Xs @ Q.T; the factors (Xs, Q) are returned, not the product.
-    P (..., m, n) and Q (..., k, n) may carry the same leading axes (a chunk
-    of z nodes); row, col, Xs and Q then carry them too.
-    """
-    s2 = sigma ** 2
-    A = phase - np.asarray(P, float)
-    Q = np.asarray(Q, float)
-    row = -0.5 * np.einsum("...k,k,...k->...", A, s2, A) + 1j * (A @ center)
-    col = -0.5 * np.einsum("...k,k,...k->...", Q, s2, Q) + 1j * (Q @ center)
-    return row, col, A * s2, Q
-
-
-@dataclass(frozen=True)
-class GaussianFactor:
-    """exp(-|t - center|^2 / (2 sigma^2)) exp(i <t | phase>), per-axis sigma."""
-
-    center: np.ndarray
-    sigma: np.ndarray
-    phase: np.ndarray
-
-    @classmethod
-    def make(cls, n, center=None, sigma=1.0, phase=None) -> "GaussianFactor":
-        sig = _vec(sigma, n)
-        center, phase = _vec(center, n), _vec(phase, n)
-        if not all(np.all(np.isfinite(v)) for v in (center, sig, phase)):
-            raise SymbolError("Gaussian centers, widths and phases must be finite")
-        if np.any(sig <= 0):
-            raise SymbolError("Gaussian widths must be positive")
-        return cls(center, sig, phase)
-
-    @property
-    def n(self) -> int:
-        return len(self.center)
-
-    def __call__(self, t) -> np.ndarray:
-        """Complex values at points t (..., n); one real exp when the phase
-        is zero (see `fields.gaussian`)."""
-        t = np.asarray(t, float)
-        d = (t - self.center) / self.sigma
-        quad = -0.5 * np.einsum("...i,...i->...", d, d)
-        if not self.phase.any():
-            return np.exp(quad).astype(complex)
-        ph = np.einsum("...i,i->...", t, self.phase)
-        return np.exp(quad + 1j * ph)
-
-    def abs_power_integral(self, s: float) -> float:
-        """integral |g|^s dt = prod_k sqrt(2 pi sigma_k^2 / s)."""
-        return float(np.prod(np.sqrt(TWO_PI * self.sigma ** 2 / s)))
-
-    def translate(self, shift) -> "GaussianFactor":
-        return replace(self, center=self.center + _vec(shift, self.n))
-
-    def conjugate(self) -> "GaussianFactor":
-        return replace(self, phase=-self.phase)
+def _factor(n, center, sigma, phase) -> GaussianFactor:
+    """`GaussianFactor.make` with its ValueError raised as a SymbolError."""
+    try:
+        return GaussianFactor.make(n, center, sigma, phase)
+    except ValueError as exc:
+        raise SymbolError(str(exc)) from None
 
 
 class XiSymbol:
@@ -175,9 +106,8 @@ class GaussianSymbol(XiSymbol):
         amplitude = complex(amplitude)
         if not np.isfinite(amplitude):
             raise SymbolError(f"Gaussian symbol amplitude must be finite, got {amplitude}")
-        return cls(amplitude,
-                   GaussianFactor.make(n, x_center, x_sigma, x_phase),
-                   GaussianFactor.make(n, xi_center, xi_sigma, xi_phase))
+        return cls(amplitude, _factor(n, x_center, x_sigma, x_phase),
+                   _factor(n, xi_center, xi_sigma, xi_phase))
 
     @property
     def n(self) -> int:
@@ -186,35 +116,19 @@ class GaussianSymbol(XiSymbol):
     def __call__(self, x, xi):
         return self.amplitude * self.gx(x) * self.gxi(xi)
 
-    # -- partial transform in the dual variable -----------------------------
-    #
-    # (2 pi)^{-n} int exp(-(z-d)^2/(2 s^2)) e^{i<phi|z>} e^{-i<V|z>} dz
-    #    = prod_k (s_k / sqrt(2 pi)) * exp(i<w|d> - s^2 w^2 / 2),  w = phi - V.
-
-    def _prefactor(self) -> complex:
-        return self.amplitude * float(np.prod(self.gxi.sigma / math.sqrt(TWO_PI)))
-
     def hat2(self, x, V):
-        V = np.asarray(V, float)
-        w = self.gxi.phase - V
-        quad = -0.5 * np.einsum("...i,i,...i->...", w, self.gxi.sigma ** 2, w)
-        ph = np.einsum("...i,i->...", w, self.gxi.center)
-        return self._prefactor() * self.gx(x) * np.exp(quad + 1j * ph)
+        """amplitude * gx(x) * gxi.transform(V), scalars multiplied first."""
+        scale, exponent = self.gxi.transform_exponent(V)
+        return (self.amplitude * scale) * self.gx(x) * np.exp(exponent)
 
     def hat2_pair_exponent(self, x, P, Q):
-        """(prefactor, row, col, Xs, Qf) with hat2(x, P_i - Q_j) =
-        prefactor * exp(row_i + col_j - (Xs @ Qf.T)_ij), for one point x or a
-        chunk of them (`XiSymbol.hat2_pair_exponent`); the prefactor is a
-        complex for one point and a (c, 1) array for a chunk.
-
-        Kernel assemblies fold window factors and quadrature weights into the
-        row/col vectors and exponentiate in place — the per-chunk hot path.
-        """
+        """`XiSymbol.hat2_pair_exponent` from gxi's split; kernel assemblies
+        fold window factors into row and col and exponentiate in place."""
+        scale, *split = self.gxi.pair_exponent(P, Q)
         # one ufunc product for one point or a chunk, so that the two agree
         # bitwise (a product of Python complex numbers may round otherwise)
-        pref = np.multiply(self._prefactor(), self.gx(np.asarray(x, float)))
-        return (complex(pref) if np.ndim(pref) == 0 else pref,) + _pair_exponent(
-            self.gxi.sigma, self.gxi.center, self.gxi.phase, P, Q)
+        pref = np.multiply(self.amplitude * scale, self.gx(np.asarray(x, float)))
+        return (complex(pref) if np.ndim(pref) == 0 else pref, *split)
 
     @property
     def real(self) -> bool:
@@ -232,16 +146,7 @@ class GaussianSymbol(XiSymbol):
 
     def integral(self) -> complex:
         """integral f dX over Xi (phases included) for the trace formula."""
-        if np.any(self.gx.phase) or np.any(self.gxi.phase):
-            ax = np.exp(1j * (self.gx.phase @ self.gx.center)
-                        - 0.5 * np.sum(self.gx.sigma ** 2 * self.gx.phase ** 2))
-            bx = np.exp(1j * (self.gxi.phase @ self.gxi.center)
-                        - 0.5 * np.sum(self.gxi.sigma ** 2 * self.gxi.phase ** 2))
-        else:
-            ax = bx = 1.0
-        return (self.amplitude * ax * bx
-                * self.gx.abs_power_integral(1.0) * self.gxi.abs_power_integral(1.0)
-                / TWO_PI ** self.n)
+        return self.amplitude * self.gx.integral() * self.gxi.integral() / TWO_PI ** self.n
 
     # -- translations used by the covariance identities ----------------------
 
@@ -397,7 +302,7 @@ class XiOnlySymbol(XiSymbol):
 
     @classmethod
     def gaussian(cls, n, center=None, sigma=1.0, phase=None) -> "XiOnlySymbol":
-        return cls(GaussianFactor.make(n, center, sigma, phase), n)
+        return cls(_factor(n, center, sigma, phase), n)
 
     def __call__(self, x, xi):
         x = np.asarray(x, float)
@@ -406,25 +311,14 @@ class XiOnlySymbol(XiSymbol):
         vals = self.psi(xi) if self.psi is not None else self.psi_field(xi)
         return vals * np.ones(x.shape[:-1])
 
-    def _transform(self, w):
-        # (2 pi)^{-n} int psi(zeta) e^{i<w|zeta>} d zeta for Gaussian psi
-        if self.psi is None:
-            raise SymbolError("no closed-form transform for a sampled dual profile")
-        pref = float(np.prod(self.psi.sigma / math.sqrt(TWO_PI)))
-        quad = -0.5 * np.einsum("...i,i,...i->...", w, self.psi.sigma ** 2, w)
-        ph = np.einsum("...i,i->...", w, self.psi.center)
-        return pref * np.exp(quad + 1j * ph)
-
     def hat2(self, x, V):
-        return self._transform(self.psi.phase - np.asarray(V, float)) if self.psi is not None \
-            else super().hat2(x, V)
+        return self.psi.transform(V) if self.psi is not None else super().hat2(x, V)
 
     def hat2_pair_exponent(self, x, P, Q):
         if self.psi is None:
             raise SymbolError("no closed-form transform for a sampled dual profile")
-        pref = complex(np.prod(self.psi.sigma / math.sqrt(TWO_PI)))
-        return (pref,) + _pair_exponent(self.psi.sigma, self.psi.center,
-                                        self.psi.phase, P, Q)
+        scale, *split = self.psi.pair_exponent(P, Q)
+        return (complex(scale), *split)
 
     @property
     def real(self) -> bool:

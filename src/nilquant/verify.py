@@ -33,7 +33,7 @@ from .magnetic import (circulation, cocycle_residual, gauge_berezin_residual,
                        zero_potential)
 from .pseudodiff import (berezin_symbol, hs_unitarity_ratio, op_quantize,
                          op_quantize_samples)
-from .report import CheckResult, Timer, VerificationReport
+from .report import CheckResult, Timer, VerificationReport, tolerance_scale
 from .symbols import DeltaSymbol, GaussianSymbol, PhaseSymbol, XOnlySymbol, XiOnlySymbol
 from .tau import (berezin_tau, covariance_residual_M, op_quantize_tau, resolve_tau,
                   scaled_tau, symmetric_tau, tau_tilde, weyl_tau)
@@ -257,7 +257,7 @@ def suite_inversion(seed: int = 4, tol_scale: float = 1.0) -> list[CheckResult]:
         for _ in range(6):
             p = PhasePoint(rng.uniform(-1, 1, 1), rng.uniform(-1, 1, 1))
             worst = max(worst, abs(reproducing_apply(alg, w, bu, p, grid)
-                                   - _bargmann_at(alg, w, u, grid, p)) / scale)
+                                   - inner(weyl(alg, p, u), w.field, grid)) / scale)
     _check(results, "reproducing_abelian", worst, 5e-2, t, tol_scale)
 
     alg, grid, xi, w = heisenberg_setup()
@@ -272,14 +272,9 @@ def suite_inversion(seed: int = 4, tol_scale: float = 1.0) -> list[CheckResult]:
         for _ in range(3):
             p = PhasePoint(rng.uniform(-0.5, 0.5, 3), rng.uniform(-0.5, 0.5, 3))
             worst = max(worst, abs(reproducing_apply(alg, w, bu, p, grid)
-                                   - _bargmann_at(alg, w, u, grid, p)) / scale)
+                                   - inner(weyl(alg, p, u), w.field, grid)) / scale)
     _check(results, "reproducing_h1", worst, 5e-2, t, tol_scale)
     return results
-
-
-def _bargmann_at(alg, w, u, grid, p) -> complex:
-    from .coherent import fourier_wigner_at
-    return fourier_wigner_at(alg, u, w.field, grid, p)
 
 
 def suite_berezin_core(seed: int = 5, tol_scale: float = 1.0) -> list[CheckResult]:
@@ -786,7 +781,9 @@ CRITERIA = list(SUITES)  # acceptance numbering: 1-based index into this list
 
 
 def run_suites(names, seed: int = 0, tol_scale: float = 1.0) -> VerificationReport:
-    """Run named suites (or "all") and aggregate into one report."""
+    """Run named suites (or "all") and aggregate into one report; a bad
+    tolerance scale raises ValueError (`report.tolerance_scale`)."""
+    tol_scale = tolerance_scale(tol_scale)
     if isinstance(names, str):
         names = [names]
     if not names:

@@ -6,9 +6,9 @@ import warnings
 import numpy as np
 import pytest
 
-from nilquant.algebra import abelian, heisenberg
+from nilquant.algebra import abelian, engel, heisenberg
 from nilquant.coherent import (NyquistWarning, PhasePoint, bargmann, bargmann_adjoint,
-                               coherent_state, fourier_wigner, fourier_wigner_at,
+                               coherent_state, fourier_wigner,
                                make_window, nyquist_axes, projector, reproducing_apply,
                                reproducing_kernel, weyl, weyl_adjoint,
                                weyl_compose_factor)
@@ -102,8 +102,31 @@ def test_fourier_wigner_at_origin_is_inner_product():
     alg, grid, xi, w = line()
     rng = np.random.default_rng(5)
     u, v = random_gaussian(rng, 1), random_gaussian(rng, 1)
-    got = fourier_wigner_at(alg, u, v, grid, PhasePoint.origin(1))
+    got = inner(weyl(alg, PhasePoint.origin(1), u), v, grid)
     assert abs(got - inner(u, v, grid)) < 1e-12
+
+
+def ref_fourier_wigner_at(alg, u, v, g_grid, p):
+    """The point route FW[u, v](p) had of its own, written out."""
+    y = g_grid.nodes()
+    uz = u(alg.bch(alg.inv(p.zv), y))
+    phase = np.exp(1j * (y @ p.zetav))
+    return complex(g_grid.weight * np.sum(phase * uz * np.conjugate(v(y))))
+
+
+@pytest.mark.parametrize("alg", [abelian(1), heisenberg(), engel()], ids=lambda a: a.name)
+def test_fourier_wigner_at_a_point_is_the_shift_inner_product(alg):
+    """FW[u, v](p) = <W(p) u, v> takes the shift and the inner product; the
+    written-out quadrature it replaced agrees to rounding."""
+    n = alg.dim
+    grid = Grid.box(n, 4.0, 64 if n == 1 else 8)
+    rng = np.random.default_rng(21)
+    for _ in range(5):
+        u, v = random_gaussian(rng, n), random_gaussian(rng, n)
+        p = PhasePoint(rng.uniform(-1, 1, n), rng.uniform(-1, 1, n))
+        got = inner(weyl(alg, p, u), v, grid)
+        want = ref_fourier_wigner_at(alg, u, v, grid, p)
+        assert abs(got - want) <= 1e-14 * max(abs(want), 1e-3)
 
 
 def test_fourier_wigner_gaussian_closed_form():
@@ -192,7 +215,7 @@ def test_bargmann_orthogonal_window_vanishes_at_origin():
     alg, grid, xi, w = line()
     from nilquant.fields import Field
     odd = Field(lambda p: p[..., 0] * np.exp(-0.5 * p[..., 0] ** 2), 1)
-    val = fourier_wigner_at(alg, odd, w.field, grid, PhasePoint.origin(1))
+    val = inner(weyl(alg, PhasePoint.origin(1), odd), w.field, grid)
     assert abs(val) < 1e-12
 
 
@@ -216,7 +239,7 @@ def test_reproducing_identity():
     for _ in range(4):
         p = PhasePoint(rng.uniform(-1, 1, 1), rng.uniform(-1, 1, 1))
         got = reproducing_apply(alg, w, bu, p, grid)
-        ref = fourier_wigner_at(alg, u, w.field, grid, p)
+        ref = inner(weyl(alg, p, u), w.field, grid)
         assert abs(got - ref) / scale < 5e-2
 
 

@@ -1,6 +1,7 @@
 """Configuration validation, CLI verbs, exports and determinism."""
 
 import json
+import math
 import os
 
 import numpy as np
@@ -174,6 +175,29 @@ def test_cli_verify_pass_and_fail(capsys):
     assert main(["verify", "--suite", "nonexistent"]) == 2
 
 
+@pytest.mark.parametrize("scale", ["inf", "nan", "0", "-1"])
+def test_cli_verify_rejects_a_scale_that_is_not_finite_and_positive(scale, capsys):
+    """An infinite scale would pass every check; each of these is a
+    configuration error, exit 2, and runs no check."""
+    assert main(["verify", "--suite", "weyl", "--tol-scale", scale]) == 2
+    captured = capsys.readouterr()
+    assert "tolerance scale must be finite and positive" in captured.err
+    assert "PASS" not in captured.out
+
+
+def test_config_tolerance_scale_infinity_exits_2(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text('{"tolerance_scale": Infinity}')
+    assert main(["verify", "--suite", "weyl", "--config", str(cfg_path)]) == 2
+    assert "bad tolerance_scale" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scale", [math.inf, -math.inf, math.nan, 0.0, -1.0])
+def test_run_suites_rejects_a_scale_that_is_not_finite_and_positive(scale):
+    with pytest.raises(ValueError, match="tolerance scale"):
+        run_suites(["weyl"], tol_scale=scale)
+
+
 def test_cli_quantize_and_export(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     out_dir = tmp_path / "out"
@@ -291,6 +315,11 @@ def test_cli_config_error_exit_code(tmp_path):
     ({"symbol": {"kind": "delta", "z": [0.0, 1.0]}}, "bad symbol"),
     ({"symbol": {"kind": "delta", "z": [0.0, 1.0], "zeta": [0.0, 1.0]}}, "bad symbol"),
     ({"symbol": {"kind": "phase", "zeta": [float("inf")]}}, "bad symbol"),
+    ({"tolerance_scale": float("inf")}, "bad tolerance_scale"),
+    ({"tolerance_scale": float("nan")}, "bad tolerance_scale"),
+    ({"tolerance_scale": 0}, "bad tolerance_scale"),
+    ({"tolerance_scale": -1.0}, "bad tolerance_scale"),
+    ({"tolerance_scale": "2"}, "bad tolerance_scale"),
 ])
 def test_parse_reports_bad_specs(spec, problem):
     with pytest.raises(ConfigError, match=problem):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from nilquant.algebra import abelian
+from nilquant.algebra import abelian, heisenberg
 from nilquant.berezin import BerezinConfig, berezin_matrix
 from nilquant.coherent import PhasePoint, make_window, projector, weyl
 from nilquant.covariant import cov_full
@@ -12,7 +12,9 @@ from nilquant.grids import Grid, XiGrid
 from nilquant.pseudodiff import (WeylOperator, berezin_symbol, hs_unitarity_ratio,
                                  op_quantize, op_quantize_samples, symbol_from_kernel,
                                  symbol_of_regularizing)
-from nilquant.symbols import GaussianSymbol, PhaseSymbol, XOnlySymbol, XiOnlySymbol
+from nilquant.symbols import (GaussianSymbol, PhaseSymbol, SymbolError, XOnlySymbol,
+                              XiOnlySymbol)
+from nilquant.transforms import dual_phase_points
 
 
 def line(N=128):
@@ -52,6 +54,36 @@ def test_xi_only_symbol_gives_convolution():
     K = op.kernel
     diag = np.diagonal(K, offset=5)
     assert np.max(np.abs(diag - diag[0])) < 1e-8 * np.max(np.abs(K))
+
+
+def ref_op_from_profile(alg, symbol, grid, dual_grid):
+    """The per-row loop op_quantize ran for a symbol without a closed-form
+    transform, written out."""
+    x = grid.nodes()
+    V = alg.bch(x[:, None, :], -x[None, :, :])
+    zeta = dual_grid.nodes()
+    K = np.empty((len(x), len(x)), dtype=complex)
+    for i in range(len(x)):
+        avals = symbol(np.broadcast_to(x[i], zeta.shape), zeta)
+        K[i] = dual_grid.weight * dual_phase_points(avals, V[i], dual_grid, 1)
+    return K
+
+
+@pytest.mark.parametrize("alg", [abelian(1), heisenberg()], ids=lambda a: a.name)
+def test_sampled_profile_takes_op_quantize_samples(alg):
+    """A dual profile given only as a field is sampled once and quantized by
+    `op_quantize_samples`; the kernel is bitwise the per-row loop's."""
+    n = alg.dim
+    grid = Grid.box(n, 3.0, 24 if n == 1 else 5)
+    dual = Grid.box(n, 2.5, 20 if n == 1 else 4, dual=True)
+    profile = Field(lambda z: np.exp(-np.sum(z ** 4, axis=-1)) * (1.0 + 0.3j * z[..., 0]),
+                    n, "dual")
+    sym = XiOnlySymbol(None, n, psi_field=profile)
+    op = op_quantize(alg, sym, grid, dual)
+    K = ref_op_from_profile(alg, sym, grid, dual)
+    assert np.array_equal(op.kernel.view(np.uint64), K.view(np.uint64))
+    with pytest.raises(SymbolError):
+        op_quantize(alg, sym, grid)
 
 
 def test_hs_unitarity():
