@@ -14,7 +14,10 @@ them, on its first product, into a BCH program: words longer than the step
 are dropped, every word is folded so that its innermost bracket is [X,Y],
 brackets shared by several words are computed once, and each bracket runs
 over the nonzero structure constants only, accumulating in place into the
-returned array.  Haar measure is Lebesgue measure in these coordinates with
+returned array.  The product X + Y that starts it is written one component
+at a time as well: numpy broadcasts slowly over a trailing axis as short as
+the dimension, and the batches here, z nodes against y nodes, are large in
+their leading axes.  Haar measure is Lebesgue measure in these coordinates with
 normalization constant 1.
 
 All operations broadcast over leading axes: a "vector" is any ndarray whose
@@ -257,7 +260,9 @@ class LieAlgebra:
                 f"nilpotency step {self.step} exceeds the supported BCH depth {MAX_BCH_DEPTH}")
         self.check_dim(X, Y)
         X, Y = np.asarray(X, float), np.asarray(Y, float)
-        out = X + Y
+        out = np.empty(np.broadcast(X, Y).shape)
+        for k in range(self.dim):
+            np.add(X[..., k], Y[..., k], out=out[..., k])
         if self._bch_program:
             letters = (_components(X), _components(Y))
             _run_bch(self._bch_program, letters, letters[1], _components(out),

@@ -151,7 +151,11 @@ def cmd_verify(args) -> int:
         tol_scale = args.tol_scale if args.tol_scale is not None else cfg.tolerance_scale
         suites = args.suite or cfg.suite
         report = run_suites(suites, seed=seed, tol_scale=tol_scale)
-    except (ConfigError, KeyError, ValueError, OSError) as exc:
+    except KeyError as exc:
+        # str(KeyError) quotes its message; print the message itself
+        print(f"config error: {exc.args[0]}", file=sys.stderr)
+        return EXIT_CONFIG
+    except (ConfigError, ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     for line in report.lines():

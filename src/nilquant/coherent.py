@@ -31,6 +31,19 @@ exp(+-i <y | zeta>) over a dual grid.  That grid is a tensor product, so the
 phase is applied axis by axis: `transforms.dual_phase_grid` for FW, whose
 y nodes form a grid as well, and `transforms.dual_phase_points` for B*, whose
 points z x do not.  Neither builds a dense points x |dual| phase matrix.
+
+Both run over blocks of z nodes (`node_blocks`), never over the whole
+z x y grid at once: FW evaluates z^{-1} y, u(z^{-1} y) conj(v(y)), the
+dressing and the phase sum for one block and writes it into the
+preallocated result; B* makes one batched `dual_phase_points` call per block
+and adds each node's row into its sum in node order.  One budget,
+`BLOCK_ENTRIES`, sizes every block (about 16 z nodes against 1000 y nodes
+in FW, 3 in B* against 100 targets and 343 dual nodes): the block's arrays
+stay in cache and are not fresh whole-grid allocations, whose page faults
+cost as much as the arithmetic.  Every value is bitwise the same for any
+block size, since each block does per node what the whole grid did and
+no block is a lone node (see `node_blocks`).
+
 Two evaluation routes are kept for FW: the factored one (change of
 variables, then the separable phase) and a literal per-node quadrature;
 they must agree to reassociation error.
@@ -133,6 +146,34 @@ def make_window(alg: LieAlgebra, grid: Grid, sigma: float = 1.0, center=None) ->
 
 
 # ---------------------------------------------------------------------------
+# Blocks of z nodes
+# ---------------------------------------------------------------------------
+
+#: Entries per block of z nodes in the Bargmann maps: (z, y) pairs in
+#: `WeylSystem.wigner`, entries of the first dual-side product in
+#: `bargmann_adjoint` and `pseudodiff.op_quantize_samples`.  About 16 z nodes
+#: against 1000 y nodes: each block's arrays stay in cache, and reused
+#: memory spares the page faults that fresh whole-grid arrays cost.
+BLOCK_ENTRIES = 1 << 14
+
+
+def node_blocks(count: int, per_node: int) -> list[slice]:
+    """Consecutive slices covering range(count) in order, of
+    max(2, BLOCK_ENTRIES // per_node) nodes each but the last, which holds
+    from 2 to one more than that.
+
+    No block holds a lone node unless count is 1: numpy multiplies a one-row
+    matrix by a matrix-vector routine, whose sums are not bitwise those of
+    the matrix-matrix routine the whole grid takes.
+    """
+    size = max(2, BLOCK_ENTRIES // max(1, per_node))
+    starts = list(range(0, count, size))
+    if len(starts) > 1 and count - starts[-1] == 1:
+        starts.pop()  # the lone last node joins the block before it
+    return [slice(s, e) for s, e in zip(starts, starts[1:] + [count])]
+
+
+# ---------------------------------------------------------------------------
 # Weyl system
 # ---------------------------------------------------------------------------
 
@@ -196,30 +237,37 @@ class WeylSystem:
     def wigner(self, u: Field, v: Field, g_grid: Grid, xi_grid: XiGrid) -> XiSamples:
         """<W(z, zeta) u, v> sampled on a XiGrid; y-quadrature over `g_grid`.
 
-        The change of variables u(z^{-1}y) conj(v(y)), dressed where the
-        system dresses, is evaluated on every (z, y) pair.  When the phase
-        points are the y grid itself the phase exp(i <y|zeta>) is applied axis
-        by axis (`dual_phase_grid`, one small cached factor per axis); moved
-        points log(tau(z)^{-1} y) form no tensor grid, so they take one dense
-        exp per z node.  Warns (`NyquistWarning`) when the dual box of
-        `xi_grid` is past the Nyquist band pi/h of `g_grid` on some axis.
+        Runs over blocks of z nodes (`node_blocks`, one per `BLOCK_ENTRIES`
+        (z, y) pairs), each written into the preallocated result: the change
+        of variables u(z^{-1}y) conj(v(y)), dressed node by node where the
+        system dresses, then the phase sum.  When the phase points are the
+        y grid itself the phase exp(i <y|zeta>) is applied axis by axis
+        (`dual_phase_grid`, one small cached factor per axis); moved points
+        log(tau(z)^{-1} y) form no tensor grid, so they take one dense exp
+        per z node.  Warns (`NyquistWarning`) when the dual box of `xi_grid`
+        is past the Nyquist band pi/h of `g_grid` on some axis.
         """
         # stacklevel: reported at the caller of the public delegation
         _warn_past_nyquist(g_grid, xi_grid.dual_grid, stacklevel=4)
         z_nodes, zeta_nodes = xi_grid.node_pairs()
         y = g_grid.nodes()
-        back = self.alg.bch(self.alg.inv(z_nodes)[:, None, :], y[None, :, :])
-        g_zy = u(back) * np.conjugate(v(y))[None, :]
-        if self.dressed:
-            for row, b in zip(g_zy, back):  # one z node at a time bounds the dressing's memory
-                row *= np.exp(1j * self.dressing(y, b))
-        if not self.moves_points:
-            vals = g_grid.weight * dual_phase_grid(g_zy, g_grid, xi_grid.dual_grid, 1)
-            return XiSamples(xi_grid, vals)
+        vy = np.conjugate(v(y))
+        zinv = self.alg.inv(z_nodes)
         vals = np.empty((len(z_nodes), len(zeta_nodes)), dtype=complex)
-        for i, z in enumerate(z_nodes):
-            E = np.exp(1j * (self.phase_points(z, y) @ zeta_nodes.T))
-            vals[i] = g_grid.weight * (g_zy[i] @ E)
+        for block in node_blocks(len(z_nodes), len(y)):
+            back = self.alg.bch(zinv[block, None, :], y[None, :, :])
+            g_zy = u(back) * vy[None, :]
+            if self.dressed:
+                for row, b in zip(g_zy, back):
+                    row *= np.exp(1j * self.dressing(y, b))
+            if not self.moves_points:
+                np.multiply(g_grid.weight,
+                            dual_phase_grid(g_zy, g_grid, xi_grid.dual_grid, 1),
+                            out=vals[block])
+                continue
+            for i, row in enumerate(g_zy, block.start):
+                E = np.exp(1j * (self.phase_points(z_nodes[i], y) @ zeta_nodes.T))
+                vals[i] = g_grid.weight * (row @ E)
         return XiSamples(xi_grid, vals)
 
 
@@ -356,18 +404,25 @@ def bargmann(alg: LieAlgebra, w: Window, u: Field, xi_grid: XiGrid,
 def bargmann_adjoint(alg: LieAlgebra, w: Window, h: XiSamples, targets) -> np.ndarray:
     """(B_omega)* h = integral h(z,zeta) omega_{z,zeta} d(z,zeta) at `targets`.
 
-    The zeta-sum at each z node is applied axis by axis at the points z x
-    (`dual_phase_points`); no targets x |dual| phase matrix is built.
+    The zeta-sums of a block of z nodes are one batched `dual_phase_points`
+    call at the points z x, applied axis by axis; no targets x |dual| phase
+    matrix is built.  The blocks hold `BLOCK_ENTRIES` entries of that call's
+    first product, and each node's row is added into the sum in node order.
     Warns (`NyquistWarning`) when h's dual box is past the Nyquist band of
     the window's grid, the y-grid `bargmann` uses by default.
     """
     dual_grid = h.xi_grid.dual_grid
     _warn_past_nyquist(w.grid, dual_grid)
     targets = np.asarray(targets, float)
+    z_nodes = h.xi_grid.g_grid.nodes()
     acc = np.zeros(len(targets), dtype=complex)
-    for i, z in enumerate(h.xi_grid.g_grid.nodes()):
-        zx = alg.bch(z, targets)
-        acc += w(zx) * dual_phase_points(h.values[i, :], zx, dual_grid, -1)
+    per_node = len(targets) * (dual_grid.size // dual_grid.counts[-1])
+    for block in node_blocks(len(z_nodes), per_node):
+        zx = alg.bch(z_nodes[block, None, :], targets[None, :, :])
+        rows = dual_phase_points(h.values[block], zx, dual_grid, -1)
+        np.multiply(w(zx), rows, out=rows)
+        for row in rows:
+            acc += row
     return h.xi_grid.weight * acc
 
 

@@ -6,7 +6,12 @@ never hit grid nodes).  Gridded fields interpolate multilinearly inside their
 box and vanish outside; anything computed through them carries an
 ``interpolated`` flag so checks can tell exact evaluations from approximate
 ones.  `GaussianFactor` is the one Gaussian: windows, test fields (`gaussian`)
-and the factors of Gaussian symbols, with its closed-form dual transform.
+and the factors of Gaussian symbols, with its closed-form dual transform.  It
+writes the scaled offsets (t - center) / sigma one coordinate at a time into
+one buffer: numpy broadcasts slowly over a trailing axis as short as the
+dimension, and the Bargmann maps evaluate it on blocks of z nodes times
+y nodes.  The sum of squares stays one `einsum`, whose order of summation
+fixes the values' last bits.
 """
 
 from __future__ import annotations
@@ -189,7 +194,12 @@ class GaussianFactor:
         times one real exp (tens of times cheaper than the complex exp, equal
         to it up to its last bit), still complex: callers multiply phases in."""
         t = np.asarray(t, float)
-        d = (t - self.center) / self.sigma
+        if t.shape[-1:] != self.center.shape:  # a scalar or a trailing axis of 1
+            t = np.broadcast_to(t, np.broadcast(t, self.center).shape)
+        d = np.empty(t.shape)
+        for k in range(self.n):  # per component: see the module notes
+            np.subtract(t[..., k], self.center[k], out=d[..., k])
+            np.divide(d[..., k], self.sigma[k], out=d[..., k])
         quad = -0.5 * np.einsum("...i,...i->...", d, d)
         if not self.phase.any():
             return np.multiply(self.amplitude, np.exp(quad), dtype=complex)

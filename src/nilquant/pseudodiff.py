@@ -29,7 +29,7 @@ import numpy as np
 
 from .algebra import LieAlgebra
 from .berezin import BerezinConfig, berezin_kernel_points
-from .coherent import PhasePoint, weyl
+from .coherent import PhasePoint, node_blocks, weyl
 from .fields import Field
 from .grids import Grid
 from .operators import OperatorMatrix
@@ -87,7 +87,7 @@ def op_quantize(alg: LieAlgebra, symbol: XiSymbol, grid: Grid,
         if dual_grid is None:
             raise
         samples = symbol(x[:, None, :], dual_grid.nodes()[None, :, :])
-        return op_quantize_samples(alg, samples, grid, dual_grid)
+        return _kernel_from_samples(V, samples, grid, dual_grid)
     return OperatorMatrix(grid, np.asarray(K, dtype=complex))
 
 
@@ -96,13 +96,22 @@ def op_quantize_samples(alg: LieAlgebra, a_samples: np.ndarray, grid: Grid,
     """Op(a) from symbol samples a[x_i, zeta_j] on grid x dual_grid; each
     kernel row is the zeta-sum of row i against exp(i <log(x_i y^-1) | zeta>),
     applied axis by axis (`dual_phase_points`)."""
+    x = grid.nodes()
+    return _kernel_from_samples(alg.bch(x[:, None, :], -x[None, :, :]), a_samples, grid,
+                                dual_grid)
+
+
+def _kernel_from_samples(V: np.ndarray, a_samples: np.ndarray, grid: Grid,
+                         dual_grid: Grid) -> OperatorMatrix:
+    """`op_quantize_samples` given the products V = log(x y^{-1}): one
+    batched `dual_phase_points` call per block of rows (`node_blocks`)."""
     if not dual_grid.dual:
         dual_grid = dual_grid.as_dual()
-    x = grid.nodes()
-    V = alg.bch(x[:, None, :], -x[None, :, :])
-    K = np.empty((len(x), len(x)), dtype=complex)
-    for i in range(len(x)):
-        K[i] = dual_grid.weight * dual_phase_points(a_samples[i], V[i], dual_grid, 1)
+    m = grid.size
+    K = np.empty((m, m), dtype=complex)
+    for block in node_blocks(m, m * (dual_grid.size // dual_grid.counts[-1])):
+        np.multiply(dual_grid.weight, dual_phase_points(a_samples[block], V[block], dual_grid, 1),
+                    out=K[block])
     return OperatorMatrix(grid, K)
 
 

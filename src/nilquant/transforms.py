@@ -24,7 +24,10 @@ dual grid factors axis by axis,
 and the sums the Bargmann maps and the quantizers need are applied one axis
 at a time through small (points or nodes) x D_k factor matrices instead of
 a dense (points x |dual|) phase matrix: `dual_phase_points` at arbitrary
-points, `dual_phase_grid` between two tensor grids.
+points, `dual_phase_grid` between two tensor grids.  `dual_phase_points`
+takes a leading batch axis, one sum per row against its own points, so the
+adjoint Bargmann map and the sampled quantizer run a block of z nodes or
+kernel rows per call.
 """
 
 from __future__ import annotations
@@ -101,18 +104,35 @@ def dual_phase_points(h: np.ndarray, x: np.ndarray, dual_grid: Grid,
                       sign: int) -> np.ndarray:
     """sum_zeta h[zeta] exp(sign i <x | zeta>) at points x of shape (P, n).
 
-    `h` holds one value per node of `dual_grid` in its C node order.  One
-    matrix product contracts the last axis; every other axis is one
-    multiply-and-sum against its (D_k, P) factor, so no P x |dual| matrix is
-    formed.
+    `h` holds one value per node of `dual_grid` in its C node order.  A
+    batch is one leading axis on both: h of shape (B, |dual|) with x of shape
+    (B, P, n) gives (B, P), row b summed at the points x[b], bitwise as B
+    single calls.  One (stacked) matrix product contracts the last axis;
+    every other axis is one in-place multiply and a sum against its
+    (D_k, P) factor, so no P x |dual| matrix is formed.  Where the k-th
+    coordinates of every row's points are equal bit for bit, one factor
+    serves the batch: rows that are nodes of a tensor grid share their
+    leading coordinates, and the first-layer coordinates of a BCH product
+    are plain sums.
     """
     x = np.asarray(x, float)
+    lead, P = x.shape[:-2], x.shape[-2]
     axes = dual_grid.axes()
-    T = np.reshape(h, (-1, len(axes[-1]))) @ np.exp((sign * 1j) * np.outer(axes[-1], x[:, -1]))
+
+    def factor(k):
+        """exp(sign i zeta_k x_k) of shape (..., D_k, P), or one (D_k, P)
+        factor when the batch's k-th coordinates agree bit for bit."""
+        xk = x[..., k]
+        if lead and (xk.view(np.uint64) == xk[:1].view(np.uint64)).all():
+            xk = xk[0]
+        return np.exp((sign * 1j) * (axes[k][:, None] * xk[..., None, :]))
+
+    T = np.reshape(h, lead + (-1, len(axes[-1]))) @ factor(-1)
     for k in range(dual_grid.n - 2, -1, -1):
-        factor = np.exp((sign * 1j) * np.outer(axes[k], x[:, k]))
-        T = np.sum(T.reshape(-1, len(axes[k]), len(x)) * factor, axis=1)
-    return T.reshape(len(x))
+        T = T.reshape(lead + (-1, len(axes[k]), P))
+        T *= factor(k)[..., None, :, :]
+        T = np.sum(T, axis=-2)
+    return T.reshape(lead + (P,))
 
 
 @lru_cache(maxsize=32)

@@ -175,6 +175,13 @@ def test_cli_verify_pass_and_fail(capsys):
     assert main(["verify", "--suite", "nonexistent"]) == 2
 
 
+def test_cli_verify_unknown_suite_message_is_unquoted(capsys):
+    assert main(["verify", "--suite", "nonexistent"]) == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("config error: unknown suite 'nonexistent'; known: ")
+    assert '"' not in err
+
+
 @pytest.mark.parametrize("scale", ["inf", "nan", "0", "-1"])
 def test_cli_verify_rejects_a_scale_that_is_not_finite_and_positive(scale, capsys):
     """An infinite scale would pass every check; each of these is a

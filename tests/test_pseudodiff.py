@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from nilquant.algebra import abelian, heisenberg
+from nilquant.algebra import LieAlgebra, abelian, heisenberg
 from nilquant.berezin import BerezinConfig, berezin_matrix
 from nilquant.coherent import PhasePoint, make_window, projector, weyl
 from nilquant.covariant import cov_full
@@ -84,6 +84,29 @@ def test_sampled_profile_takes_op_quantize_samples(alg):
     assert np.array_equal(op.kernel.view(np.uint64), K.view(np.uint64))
     with pytest.raises(SymbolError):
         op_quantize(alg, sym, grid)
+
+
+def test_dual_grid_fallback_builds_the_products_once(monkeypatch):
+    """On H1 (m = 125) a profile given only as a field falls back to the
+    dual grid after check2 fails; log(x y^{-1}) is built once for both."""
+    alg = heisenberg()
+    grid = Grid.box(3, 3.0, 5)
+    dual = Grid.box(3, 2.5, 4, dual=True)
+    sym = XiOnlySymbol(None, 3, psi_field=gaussian(3, 0.8, [0.2, -0.1, 0.3],
+                                                   [0.5, 0.0, -0.4], domain="dual"))
+    want = ref_op_from_profile(alg, sym, grid, dual)
+    shapes = []
+    bch = LieAlgebra.bch
+
+    def counting_bch(self, X, Y):
+        out = bch(self, X, Y)
+        shapes.append(out.shape)
+        return out
+
+    monkeypatch.setattr(LieAlgebra, "bch", counting_bch)
+    op = op_quantize(alg, sym, grid, dual)
+    assert shapes.count((125, 125, 3)) == 1
+    assert np.array_equal(op.kernel.view(np.uint64), want.view(np.uint64))
 
 
 def test_hs_unitarity():
