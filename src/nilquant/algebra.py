@@ -234,6 +234,16 @@ class LieAlgebra:
                      for i, j, k in zip(*np.nonzero(self.c)))
 
     @cached_property
+    def central_axes(self) -> tuple[int, ...]:
+        """The coordinate axes k whose structure constants c[k, :, :] and
+        c[:, k, :] are all zero, so that e_k is central: on H1 axis 2, on
+        Engel axis 3, on an Abelian algebra every axis.  A move c along them
+        is a central translation, exp(X + c) = exp(X) exp(c), so
+        (X + c) * Y = X * Y + c, and the BCH program never reads those
+        coordinates of its factors."""
+        return tuple(k for k in range(self.dim) if not (self.c[k].any() or self.c[:, k].any()))
+
+    @cached_property
     def _bch_program(self) -> tuple[tuple[int, _BracketNode], ...]:
         return _compile_bch(self._bracket_ops, self.dim, self.step)
 

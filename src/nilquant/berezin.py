@@ -14,20 +14,35 @@ variable in closed form: with hat2 the partial transform of f,
 
 so only the z-quadrature is numerical.  For Gaussian-class symbols the
 transform exponent at V = log(zx) - log(zy) is a row term plus a column term
-minus a real cross term of rank n, so each z-node costs one (n+2)-deep
-matrix product for the whole real exponent, one real matrix exp and a
-complex outer scaling by unit phase vectors (see `assemble_kernel`).
-The z nodes are taken at two levels.  The row data (BCH product, window,
-phase points, dressing) and the pair exponent are prepared for a batch of
-nodes at once; the stacked matmul, real exp and phase scaling run on chunks
-of about `CHUNK_ENTRIES` kernel entries plus row and column values.  Each
-node still adds its own term, so the sum runs in node order.  Small kernels
-(a 1 x k row) fit a desk quadrature in one chunk, and a batch is a chunk;
-kernels of 2^15 entries or more take one node per chunk but batch the row
-data of CHUNK_ENTRIES // (8 (m + k)) nodes.
+minus a real cross term of rank n, and the symbol's dependence on z is a
+prefactor alone, hat2(z, V) = pref(z) T(V).
+
+Central shift law.  For c in the centre, exp(z + c) = exp(z) exp(c), so
+log((z + c) x) = log(zx) + c: every phase point of the plain and magnetic
+systems, and of the tau systems with tau linear in the chart, moves by one
+common vector, and V = log(zx) - log(zy) does not depend on the central
+coordinates of z.  The z nodes are therefore taken in groups that differ
+only in those coordinates (`BerezinConfig.z_groups`,
+`LieAlgebra.central_axes`), and a group of M members adds E * S: the real
+|T(V)| once, at one member, against the member sum S = (R G^T)
+diag(pref) (conj(H) C), one complex matrix product of depth M over the
+window (and dressing) values G, H and the unit phases R, C of T (see
+`assemble_kernel`).  That is the same quadrature rule, summed exactly in
+another order.  A system whose points do not shift with the centre (a
+custom tau) and a flat z quadrature passed in by a caller take groups of
+one node.  On H1 a 5^3 z grid is 25 groups of 5; on an Abelian group every
+axis is central and the whole grid is one group.
+
+Groups are taken at two levels.  The row data (BCH product, window, phase
+points, dressing) and the pair exponent are prepared for a batch of groups
+at once; the stacked matmuls, real exp and E * S product run on chunks of
+about `CHUNK_ENTRIES` kernel entries plus member values, and a group with
+more members than the budget allows is split into equal groups.  Each group
+adds its own term, in group order.
 
 For fixed z and real f the (x, y) matrix of the integrand is Hermitian, and
-positive semidefinite when f >= 0, hence the assembled kernel is PSD up to
+positive semidefinite when f >= 0; so is each group's term, the Schur
+product of two PSD matrices, hence the assembled kernel is PSD up to
 roundoff whenever f >= 0 — positivity is inherited structurally, not by
 tolerance.  When rows equal columns and the symbol is real
 (`XiSymbol.real`), only the upper triangle is assembled and mirrored, so
@@ -49,7 +64,7 @@ import numpy as np
 
 from .algebra import LieAlgebra
 from .coherent import Window, PhasePoint, WeylSystem, bargmann, coherent_state, \
-    fourier_wigner, weyl
+    fourier_wigner, node_blocks, weyl
 from .fields import Field, sample_xi
 from .grids import Grid, XiGrid
 from .operators import OperatorMatrix
@@ -76,6 +91,16 @@ class BerezinConfig:
         g = self.xi_grid.g_grid
         return g.nodes(), g.weight
 
+    def z_groups(self, system: WeylSystem):
+        """The z-quadrature as (nodes (groups, members, n), weight) for
+        `assemble_kernel`: a group's members differ only in the algebra's
+        central coordinates (`LieAlgebra.central_axes`) when the system's
+        phase points shift with the centre, else the groups are single
+        nodes."""
+        g = self.xi_grid.g_grid
+        axes = self.algebra.central_axes if system.shifts_with_centre else ()
+        return g.grouped_nodes(axes), g.weight
+
 
 # ---------------------------------------------------------------------------
 # Weak form
@@ -99,12 +124,14 @@ def berezin_weak(cfg: BerezinConfig, u: Field, v: Field) -> complex:
 # Kernel assembly
 # ---------------------------------------------------------------------------
 
-#: Kernel entries plus row and column values, c (m k + m + k), per chunk of
-#: c z nodes in `assemble_kernel`.  The exponent and term buffers take 24
-#: bytes per entry; the row data (U and V rows, window values, their logs and
-#: phases) take more per row or column value, which matters for a 1 x k row.
-#: When a chunk is one node, the row data of a batch of CHUNK_ENTRIES //
-#: (8 (m + k)) nodes is prepared at once: a row value costs about 8 entries.
+#: Kernel entries plus member values per chunk of groups in
+#: `assemble_kernel`: c (m k + M (m + k)) for c groups of M members against
+#: m rows and k columns.  The exponent and term buffers take 24 bytes per
+#: entry; a member value (its phase point, window value and operand entry)
+#: takes more, which matters for a 1 x k row.  A group has at most
+#: CHUNK_ENTRIES // (m + k) members, and when a chunk is one group, the row
+#: data of CHUNK_ENTRIES // (8 M (m + k)) groups is prepared at once: a
+#: member value costs about 8 entries.
 CHUNK_ENTRIES = 1 << 16
 
 
@@ -121,53 +148,64 @@ def _row_blocks(m: int) -> list[int]:
 def _row_ranges(m: int, k: int) -> list[int]:
     """Row boundaries of the full m x k block: one range up to
     `CHUNK_ENTRIES` entries, else equal ranges of about that many entries,
-    which write into one accumulator, so a node's exponent and term buffers
+    which write into one accumulator, so a group's exponent and term buffers
     stay within the budget however large the kernel."""
     parts = max(1, min(m, -(-m * k // CHUNK_ENTRIES)))
     return [m * i // parts for i in range(parts + 1)]
 
 
-def _batch_exponent(symbol: XiSymbol, z, row_data, col_data):
-    """The symbol's (prefactor, row, col, Xs, Qf) at one node or a batch of
-    them (`XiSymbol.hat2_pair_exponent`), with the row and column window
-    factors folded into row and col through their logs.  A function of its
-    own so that the row and column data are freed before the batch's terms
-    are accumulated."""
-    P, G = row_data(z)
-    Q, H = (P, G) if col_data is None else col_data(z)
-    pref, row, col, Xs, Qf = symbol.hat2_pair_exponent(z, P, Q)
-    with np.errstate(divide="ignore"):
-        row = row + np.log(np.asarray(G, dtype=complex))
-        col = col + np.conjugate(np.log(np.asarray(H, dtype=complex)))
-    return pref, row, col, Xs, Qf
+def _members(count: int, m: int, k: int) -> int:
+    """Members per group for groups of ``count`` nodes: the largest divisor
+    of count that is at most max(1, CHUNK_ENTRIES // (m + k)), so a group's
+    member values stay within the budget and every group has as many."""
+    parts = -(-count // max(1, CHUNK_ENTRIES // (m + k)))
+    while count % parts:
+        parts += 1
+    return count // parts
 
 
-def _load_batch(exponent, U, V, R, C):
+def _group_exponent(symbol: XiSymbol, z, base, row_data, col_data):
+    """The symbol's (prefactor, row, col, Xs, Qf) for c groups z of shape
+    (c, M, n) (`XiSymbol.hat2_pair_exponent`): the pair split at each
+    group's base member (indices ``base``), the prefactor (c, M) at every
+    member, with the row and column values G (c, M, m) and H (c, M, k) of
+    every member.  A function of its own so that the phase points are freed
+    before the groups' terms are accumulated."""
+    P, G = row_data(z[..., None, :])
+    Q, H = (P, G) if col_data is None else col_data(z[..., None, :])
+    groups = np.arange(len(z))
+    return (*symbol.hat2_pair_exponent(z, P[groups, base], Q[groups, base]), G, H)
+
+
+def _load_batch(exponent, U, V, A, B):
     """Writes a batch's exponent into U = [-Xs, Re row, 1], V = [Qf, 1,
-    Re col] and the unit phase vectors R (the prefactor riding on it) and C,
-    each cut to the batch's nodes."""
-    pref, row, col, Xs, Qf = exponent
+    Re col] and the member operands A = (R G^T) diag(pref) and B = conj(H) C
+    with the unit phases R = e^{i Im row} and C = e^{i Im col}, each cut to
+    the batch's groups."""
+    pref, row, col, Xs, Qf, G, H = exponent
     n = Xs.shape[-1]
     np.negative(Xs, out=U[..., :n])
     U[..., n] = row.real
     V[..., :n] = Qf
     V[..., n + 1] = col.real
-    np.multiply(pref, np.exp(1j * row.imag), out=R)
-    np.exp(1j * col.imag, out=C)
+    np.multiply(np.exp(1j * row.imag)[..., None], np.swapaxes(G, -1, -2), out=A)
+    A *= np.broadcast_to(pref, G.shape[:-1])[..., None, :]
+    np.conjugate(H, out=B)
+    B *= np.exp(1j * col.imag)[..., None, :]
 
 
-def _add_terms(blocks, accs, nodes: slice):
-    """Adds the terms of the batch's ``nodes`` to the block accumulators: per
-    block one stacked matmul, real exp and phase scaling into the shared
-    exponent and term buffers, then node by node, so that every entry sums
-    its z terms in node order."""
-    c = nodes.stop - nodes.start
-    for (u, vt, rph, cph, rexp, term), acc in zip(blocks, accs):
+def _add_terms(blocks, accs, groups: slice):
+    """Adds the terms of the batch's ``groups`` to the block accumulators:
+    per block one stacked matmul and real exp for E, one stacked complex
+    matmul for the member sums S = A B, and E * S in place, then group by
+    group, so that every entry sums its group terms in group order."""
+    c = groups.stop - groups.start
+    for (u, vt, a, b, rexp, term), acc in zip(blocks, accs):
         rexp, term = rexp[:c], term[:c]
-        np.matmul(u[nodes], vt[nodes], out=rexp)
+        np.matmul(u[groups], vt[groups], out=rexp)
         np.exp(rexp, out=rexp)
-        np.multiply(rexp, rph[nodes], out=term)
-        term *= cph[nodes]
+        np.matmul(a[groups], b[groups], out=term)
+        term *= rexp
         for t in term:
             acc += t
 
@@ -179,89 +217,104 @@ def assemble_kernel(symbol: XiSymbol, z_nodes: np.ndarray, z_weight: float,
     ``row_data(z) -> (P, G)`` supplies the transformed points P and the
     scalar factors G attached to the row argument; ``col_data`` likewise for
     columns (defaults to the rows).  It is called with one node z of shape
-    (n,), returning P (m, n) and G (m,), or with a batch of c nodes as z of
-    shape (c, 1, n), returning P (c, m, n) and G (c, m), so it must broadcast
-    over leading axes.  This one loop serves the plain, ordering-twisted and
-    magnetic variants.
+    (n,), returning P (m, n) and G (m,), and with c groups of M members as z
+    of shape (c, M, 1, n), returning P (c, M, m, n) and G (c, M, m), so it
+    must broadcast over leading axes.  This one loop serves the plain,
+    ordering-twisted and magnetic variants.
 
-    The nodes are taken at two levels, after the first node alone, which
-    fixes m and k.  Term chunks of ``chunk = max(1, CHUNK_ENTRIES // (m * k
-    + m + k))`` nodes share one stacked matmul, real exp and phase scaling
-    per block, so a chunk's m k entries and its m + k row and column values
-    per node stay within the budget together.  Row-data batches of ``chunk``
-    nodes, or of ``max(1, CHUNK_ENTRIES // (8 * (m + k)))`` when a chunk is
-    a single node (m * k + m + k > CHUNK_ENTRIES / 2), cost one
-    ``row_data`` (and ``col_data``) call and one ``hat2_pair_exponent``
-    call; a short last batch takes the remaining nodes, passed as (n,) when
-    there is one.  Each node still adds its own term, so every entry sums
-    its z terms in node order and the result is the node-by-node sum.  The
-    U, V and phase buffers hold a batch and one exponent and one term
-    buffer hold a chunk of the largest block; all are allocated once.
+    ``z_nodes`` is (groups, members, n) or a flat (nodes, n), which is
+    groups of one node.  The members of a group must differ by a central
+    move c under which the rows and columns shift together, P_{z+c} =
+    P_z + d(c) and Q_{z+c} = Q_z + d(c) (`BerezinConfig.z_groups`): then
+    V = P_i - Q_j is the same at every member.  The symbol's x-dependence
+    is its prefactor alone (``hat2_pair_exponent``), hat2(z, V) = pref(z) *
+    T(V), so a group adds
+
+        E * S,   E_ij = |T(V_ij)|,   S = (R G^T) diag(pref) (conj(H) C),
+
+    with the transform's unit phases R_i C_j on the member operands: one
+    real exponent at the group's base member and one complex matrix product
+    over the members.  The base is the member nearest 0 in the coordinates
+    in which the members differ, where the row and column terms of the
+    split, and so their rounding, are smallest.  The member sum is exact, not a quadrature
+    change; it rounds differently from the node-by-node sum, by about 1e-16
+    relative.
 
     The symbol supplies its transform exponent in row + col - cross form
-    with the cross term as two rank-n factors, cross = Xs @ Qf.T
-    (``hat2_pair_exponent``); the window factors are folded into the row and
-    column vectors through their logs.  The cross term is real, so each entry
-    splits as
-
-        exp(Re row_i + Re col_j - cross_ij) * e^{i Im row_i} * e^{i Im col_j},
-
-    and the real exponent of a block of entries is one matrix product
-    U @ V.T with U = [-Xs, Re row, 1] and V = [Qf, 1, Re col]: per chunk and
-    block one stacked n+2-deep matmul, one real exp, and one complex outer
-    scaling by unit phase vectors (the prefactor rides on the row one).  The
-    real matrix is exactly the real part of the full complex exponent up to
-    rounding, so it overflows and underflows where that would; a zero window
-    value (log 0 = -inf) gives a zero entry.
+    with the cross term as two rank-n factors, cross = Xs @ Qf.T.  The cross
+    term is real, so E_ij = exp(Re row_i + Re col_j - cross_ij), and the
+    real exponent of a block of entries is one matrix product U @ V.T with
+    U = [-Xs, Re row, 1] and V = [Qf, 1, Re col]: per chunk and block one
+    stacked n+2-deep matmul and one real exp.  Re of the exponent is
+    -|sigma w|^2 / 2 <= 0, so E never overflows; the window values enter S
+    as factors, so a zero window value gives a zero term.
 
     When the columns are the rows (``col_data`` is None) and the symbol is
-    real (``XiSymbol.real``), every node's term is Hermitian, so only the
-    upper-triangle row blocks [r0, r1) x [r0, m) are accumulated, each in its
-    own contiguous buffer (`_row_blocks`); the lower triangle is mirrored
-    once at the end and the diagonal made real, so K == K^H exactly.
-    Otherwise the whole (m, k) matrix is accumulated in one array, as one
-    block or, above CHUNK_ENTRIES entries, as row ranges (`_row_ranges`).
+    real (``XiSymbol.real``), R and C are conjugate, pref is real and E is
+    the Schur exponential of a Gram matrix times positive diagonals, so each
+    group's term is Hermitian, and positive semidefinite for f >= 0 as the
+    Schur product of the PSD matrices E and S.  Then only the upper-triangle
+    row blocks [r0, r1) x [r0, m) are accumulated, each in its own
+    contiguous buffer (`_row_blocks`); the lower triangle is mirrored once
+    at the end and the diagonal made real, so K == K^H exactly.  Otherwise
+    the whole (m, k) matrix is accumulated in one array, as one block or,
+    above CHUNK_ENTRIES entries, as row ranges (`_row_ranges`).
+
+    Memory.  The first node alone fixes m and k.  A group of M members is
+    split into equal groups of `_members` members each, at most
+    CHUNK_ENTRIES // (m + k).  Term chunks of ``chunk = max(1, CHUNK_ENTRIES
+    // (m k + M (m + k)))`` groups share one stacked matmul pair and real
+    exp per block.  Row-data batches of ``chunk`` groups, or of ``max(1,
+    CHUNK_ENTRIES // (8 M (m + k)))`` when a chunk is a single group, cost
+    one ``row_data`` (and ``col_data``) call and one ``hat2_pair_exponent``
+    call.  The U, V, A and B buffers hold a batch, and one exponent and one
+    term buffer hold a chunk of the largest block; all are allocated once.
     """
     half = col_data is None and symbol.real
     z_nodes = np.asarray(z_nodes, float)
-    start, batch = 0, 1
-    while start < len(z_nodes):
-        b = min(batch, len(z_nodes) - start)
-        z = z_nodes[start] if b == 1 else z_nodes[start:start + b, None, :]
-        exponent = _batch_exponent(symbol, z, row_data, col_data)
-        if start == 0:
-            (m, n), k = exponent[3].shape[-2:], exponent[4].shape[-2]
-            chunk = max(1, CHUNK_ENTRIES // (m * k + m + k))
-            batch = chunk if chunk > 1 else max(1, CHUNK_ENTRIES // (8 * (m + k)))
-            size = min(batch, len(z_nodes))
-            U = np.empty((size, m, n + 2))
-            U[..., n + 1] = 1.0
-            V = np.empty((size, k, n + 2))
-            V[..., n] = 1.0
-            R = np.empty((size, m), dtype=complex)
-            C = np.empty((size, k), dtype=complex)
-            bounds = _row_blocks(m) if half else _row_ranges(m, k)
-            spans = [(r0, r1, r0 if half else 0) for r0, r1 in zip(bounds, bounds[1:])]
-            shapes = [(r1 - r0, k - c0) for r0, r1, c0 in spans]
-            # one exponent and one term buffer of chunk nodes, shared by the blocks
-            sub = min(chunk, len(z_nodes))
-            most = sub * max(h * w for h, w in shapes)
-            buffers = np.empty(most), np.empty(most, dtype=complex)
-            blocks = [(U[:, r0:r1], V[:, c0:].transpose(0, 2, 1), R[:, r0:r1, None],
-                       C[:, None, c0:]) + tuple(a[:sub * h * w].reshape(sub, h, w)
-                                                for a in buffers)
-                      for (r0, r1, c0), (h, w) in zip(spans, shapes)]
-            if half:
-                accs = [np.zeros(s, dtype=complex) for s in shapes]
-            else:
-                K = np.zeros((m, k), dtype=complex)
-                accs = [K[r0:r1] for r0, r1, _ in spans]
-        _load_batch(exponent, U[:b], V[:b], R[:b], C[:b])
-        del exponent
+    if z_nodes.ndim == 2:
+        z_nodes = z_nodes[:, None, :]
+    m = len(row_data(z_nodes[0, 0])[0])
+    k = m if col_data is None else len(col_data(z_nodes[0, 0])[0])
+    n = z_nodes.shape[-1]
+    members = _members(z_nodes.shape[1], m, k)
+    z_nodes = z_nodes.reshape(-1, members, n)
+    groups = len(z_nodes)
+    # each group's base member: nearest 0 in the coordinates that differ
+    # within a group
+    moved = np.any(z_nodes != z_nodes[:, :1], axis=(0, 1))
+    base = np.argmin(np.max(np.abs(np.where(moved, z_nodes, 0.0)), axis=-1), axis=1)
+    chunk = max(1, CHUNK_ENTRIES // (m * k + members * (m + k)))
+    batch = chunk if chunk > 1 else max(1, CHUNK_ENTRIES // (8 * members * (m + k)))
+    size = min(batch, groups)
+    U = np.empty((size, m, n + 2))
+    U[..., n + 1] = 1.0
+    V = np.empty((size, k, n + 2))
+    V[..., n] = 1.0
+    A = np.empty((size, m, members), dtype=complex)
+    B = np.empty((size, members, k), dtype=complex)
+    bounds = _row_blocks(m) if half else _row_ranges(m, k)
+    spans = [(r0, r1, r0 if half else 0) for r0, r1 in zip(bounds, bounds[1:])]
+    shapes = [(r1 - r0, k - c0) for r0, r1, c0 in spans]
+    # one exponent and one term buffer of chunk groups, shared by the blocks
+    sub = min(chunk, groups)
+    most = sub * max(h * w for h, w in shapes)
+    buffers = np.empty(most), np.empty(most, dtype=complex)
+    blocks = [(U[:, r0:r1], V[:, c0:].transpose(0, 2, 1), A[:, r0:r1], B[:, :, c0:])
+              + tuple(a[:sub * h * w].reshape(sub, h, w) for a in buffers)
+              for (r0, r1, c0), (h, w) in zip(spans, shapes)]
+    if half:
+        accs = [np.zeros(s, dtype=complex) for s in shapes]
+    else:
+        K = np.zeros((m, k), dtype=complex)
+        accs = [K[r0:r1] for r0, r1, _ in spans]
+    for start in range(0, groups, batch):
+        b = min(batch, groups - start)
+        _load_batch(_group_exponent(symbol, z_nodes[start:start + b], base[start:start + b],
+                                    row_data, col_data), U[:b], V[:b], A[:b], B[:b])
         for s in range(0, b, chunk):
             _add_terms(blocks, accs, slice(s, min(s + chunk, b)))
-        start += b
-    del U, V, R, C, buffers, blocks  # frees them before the mirrored kernel is built
+    del U, V, A, B, buffers, blocks  # frees them before the mirrored kernel is built
     if half:
         K = np.empty((m, m), dtype=complex)
         for (r0, r1, c0), acc in zip(spans, accs):
@@ -286,8 +339,9 @@ def _kernel_row(system: WeylSystem, window: Window, targets: np.ndarray):
             # potential of unknown degree outgrow the cache and run slower,
             # and the one-point rule of an affine potential gains nothing
             phase = (system.dressing(zx, targets) if zx.ndim == 2 else
-                     np.stack([system.dressing(p, targets) for p in zx]))
-            g = g * np.exp(-1j * phase)
+                     np.stack([system.dressing(p, targets)
+                               for p in zx.reshape((-1,) + zx.shape[-2:])]))
+            g = g * np.exp(-1j * phase.reshape(g.shape))
         return system.phase_points(z, zx), g
     return row
 
@@ -297,7 +351,7 @@ def berezin_kernel_points(cfg: BerezinConfig, x_points, y_points=None,
     """Kernel of Ber(f) at arbitrary analytic points (no interpolation)."""
     plain = WeylSystem(cfg.algebra)
     x_points = np.asarray(x_points, float)
-    z_nodes, z_w = z_quadrature or cfg.z_quadrature()
+    z_nodes, z_w = z_quadrature or cfg.z_groups(plain)
     row = _kernel_row(plain, cfg.window, x_points)
     col = None
     if y_points is not None and y_points is not x_points:
@@ -307,15 +361,21 @@ def berezin_kernel_points(cfg: BerezinConfig, x_points, y_points=None,
 
 def multiplier_field(alg: LieAlgebra, window: Window, phi: Field,
                      z_grid: Grid) -> Field:
-    """The multiplier of Ber(phi (x) 1): m(x) = integral phi(z) |omega(zx)|^2 dz."""
+    """The multiplier of Ber(phi (x) 1): m(x) = integral phi(z) |omega(zx)|^2 dz.
+
+    One BCH product and one window call per block of z nodes
+    (`coherent.node_blocks`, about `BLOCK_ENTRIES` (z, x) pairs); each
+    node's row is added into the sum in node order."""
     z_nodes = z_grid.nodes()
     phi_vals = phi(z_nodes)
 
     def fn(x):
         flat = x.reshape(-1, x.shape[-1])
         acc = np.zeros(len(flat), dtype=complex)
-        for z, pv in zip(z_nodes, phi_vals):
-            acc += pv * np.abs(window(alg.bch(z, flat))) ** 2
+        for block in node_blocks(len(z_nodes), len(flat)):
+            rows = np.abs(window(alg.bch(z_nodes[block, None, :], flat[None, :, :]))) ** 2
+            for pv, row in zip(phi_vals[block], rows):
+                acc += pv * row
         return (z_grid.weight * acc).reshape(x.shape[:-1])
 
     return Field(fn, alg.dim)
@@ -349,7 +409,7 @@ def berezin_quantize(cfg: BerezinConfig, system: WeylSystem,
     if isinstance(symbol, PhaseSymbol):
         raise SymbolError("the pure Weyl phase is not Berezin-quantizable on a grid; "
                           "use the pseudo-differential quantizer")
-    z_nodes, z_w = z_quadrature or cfg.z_quadrature()
+    z_nodes, z_w = z_quadrature or cfg.z_groups(system)
     row = _kernel_row(system, cfg.window, cfg.g_grid.nodes())
     return OperatorMatrix(cfg.g_grid, assemble_kernel(symbol, z_nodes, z_w, row))
 

@@ -71,11 +71,25 @@ def _weyl_system(cfg: ExperimentConfig) -> WeylSystem:
     raise ValueError(f"unknown scheme {cfg.scheme!r}")
 
 
+def _berezin_config(cfg: ExperimentConfig) -> BerezinConfig:
+    return BerezinConfig(cfg.algebra, cfg.window, cfg.g_grid, cfg.xi_grid, cfg.symbol)
+
+
 def _build_operator(cfg: ExperimentConfig):
     if cfg.scheme == "op":
         return op_quantize(cfg.algebra, cfg.symbol, cfg.g_grid, cfg.xi_grid.dual_grid)
-    bcfg = BerezinConfig(cfg.algebra, cfg.window, cfg.g_grid, cfg.xi_grid, cfg.symbol)
-    return berezin_quantize(bcfg, _weyl_system(cfg))
+    return berezin_quantize(_berezin_config(cfg), _weyl_system(cfg))
+
+
+def _z_quadrature(cfg: ExperimentConfig) -> dict:
+    """The z nodes of a Berezin kernel and the groups they are summed in:
+    nodes that differ only in the central coordinates the system shifts
+    with (`BerezinConfig.z_groups`)."""
+    system = _weyl_system(cfg)
+    groups = _berezin_config(cfg).z_groups(system)[0]
+    axes = cfg.algebra.central_axes if system.shifts_with_centre else ()
+    return {"nodes": groups.shape[0] * groups.shape[1], "groups": groups.shape[0],
+            "central_axes": list(axes)}
 
 
 def cmd_quantize(args) -> int:
@@ -101,6 +115,10 @@ def cmd_quantize(args) -> int:
     # the phases; an aliasing box is recorded, not refused
     summary = {"scheme": cfg.scheme, "seed": cfg.seed, "group": cfg.algebra.name,
                "nyquist": nyquist_axes(cfg.g_grid, cfg.xi_grid.dual_grid)}
+    if cfg.scheme != "op" and not (op.meta.get("delta_symbol") or op.meta.get("multiplication")):
+        # an assembled Berezin kernel: its z nodes, summed in groups of one
+        # matrix product each
+        summary["z_quadrature"] = _z_quadrature(cfg)
     if cfg.scheme == "magnetic":
         # the rule each circulation took: sized to the potential's degree
         A = _potential(cfg)

@@ -191,11 +191,16 @@ class WeylSystem:
     `magnetic.MagneticWeylSystem` dresses them (`dressed`).  The shift, the
     coherent states, the Fourier-Wigner route and the Berezin kernel row
     (`berezin.berezin_quantize`) are written once against these two hooks.
+
+    `shifts_with_centre` says that a central move c of z moves the points
+    P(z, zx) of every x by one common vector, as c moves zx.  The Berezin
+    kernel then sums the central z axes of its quadrature in groups.
     """
 
     alg: LieAlgebra
     moves_points = False
     dressed = False
+    shifts_with_centre = True
 
     def phase_points(self, z, y):
         """P(z, y): where the modulation phase of the shift by z is taken."""

@@ -14,9 +14,11 @@ transform, its exponent at V = P_i - Q_j split as row + column - cross with
 a real cross term of rank n (cross = Xs @ Q.T), and the integrals.  The
 (i, j) matrix of transform values then costs one small matrix product, one
 real exp and two unit phase vectors, the hot path of every Berezin-type
-assembly.  The split broadcasts over a leading axis of z nodes (x of shape
-(c, 1, n), P and Q of shapes (c, m, n) and (c, k, n)), so an assembly
-evaluates a whole chunk of nodes in one call (`berezin.assemble_kernel`).
+assembly.  The symbol's dependence on x is a prefactor alone, so the split
+broadcasts over a leading axis of groups of z nodes (x of shape (c, M, n),
+P and Q of shapes (c, m, n) and (c, k, n)): an assembly takes the split of
+a whole chunk of groups and the prefactor at each of their members in one
+call (`berezin.assemble_kernel`).
 Point-mass cases that cannot be sampled (a delta symbol on Xi, the pure Weyl
 phase, symbols constant in one variable) are dedicated classes that
 quantizers special-case.
@@ -74,10 +76,12 @@ class XiSymbol:
         """(prefactor, row, col, Xs, Qf) with hat2(x, P_i - Q_j) =
         prefactor * exp(row_i + col_j - cross_ij), cross = Xs @ Qf.T real.
 
-        x is one point (n,) with P (m, n) and Q (k, n), or a chunk of c points
-        (c, 1, n) with P (c, m, n) and Q (c, k, n); the outputs then carry the
+        The prefactor depends on x alone, the rest on P and Q alone.  x is
+        one point (n,) with P (m, n) and Q (k, n), or points (c, M, n) with
+        P (c, m, n) and Q (c, k, n): row, col, Xs and Qf then carry the
         leading c axis, and the prefactor is a complex for one point and
-        broadcasts against row (c, m) for a chunk."""
+        has shape (c, M) for c groups of M points (a complex constant where
+        it does not depend on x)."""
         raise SymbolError(f"{type(self).__name__} has no closed-form pair transform")
 
     @property

@@ -45,10 +45,14 @@ from .symbols import XiSymbol
 
 @dataclass(frozen=True)
 class TauMap:
-    """A continuous parameter map G -> G; `name` tags the standard choices."""
+    """A continuous parameter map G -> G; `name` tags the standard choices.
+
+    ``scale`` is s when tau(x) = exp(s log x), linear in the chart, and None
+    for any other map."""
 
     fn: Callable
     name: str = "custom"
+    scale: float | None = None
 
     def __call__(self, points):
         return np.asarray(self.fn(np.asarray(points, float)))
@@ -59,11 +63,11 @@ class TauMap:
 
 
 def tau_e(n: int) -> TauMap:
-    return TauMap(lambda p: np.zeros_like(p), name="e")
+    return TauMap(lambda p: np.zeros_like(p), name="e", scale=0.0)
 
 
 def tau_id() -> TauMap:
-    return TauMap(lambda p: p, name="id")
+    return TauMap(lambda p: p, name="id", scale=1.0)
 
 
 def symmetric_tau(alg: LieAlgebra) -> TauMap:
@@ -71,12 +75,12 @@ def symmetric_tau(alg: LieAlgebra) -> TauMap:
 
     Fixed point of the adjoint involution on every nilpotent group.
     """
-    return TauMap(lambda p: 0.5 * p, name="symmetric")
+    return TauMap(lambda p: 0.5 * p, name="symmetric", scale=0.5)
 
 
 def scaled_tau(s: float) -> TauMap:
     """tau(x) = exp(s log x); commutes with x, so the adjoint identity holds."""
-    return TauMap(lambda p: s * p, name=f"scaled:{s}")
+    return TauMap(lambda p: s * p, name=f"scaled:{s}", scale=s)
 
 
 def tau_tilde(alg: LieAlgebra, tau: TauMap) -> TauMap:
@@ -108,10 +112,18 @@ def resolve_tau(alg: LieAlgebra, name: str) -> TauMap:
 
 @dataclass(frozen=True)
 class TauWeylSystem(WeylSystem):
-    """W_tau: phase points P(z, y) = log(tau(z)^{-1} y), no dressing."""
+    """W_tau: phase points P(z, y) = log(tau(z)^{-1} y), no dressing.
+
+    For tau(x) = exp(s log x) and central c, tau(z + c) = tau(z) + s c, so
+    P(z + c, y + c) = P(z, y) + (1 - s) c: the points shift with the centre.
+    Any other map is not assumed to."""
 
     tau: TauMap
     moves_points = True
+
+    @property
+    def shifts_with_centre(self) -> bool:
+        return self.tau.scale is not None
 
     def phase_points(self, z, y):
         return self.alg.bch(self.alg.inv(self.tau(z)), y)

@@ -113,10 +113,12 @@ def dual_phase_points(h: np.ndarray, x: np.ndarray, dual_grid: Grid,
     coordinates of every row's points are equal bit for bit, one factor
     serves the batch: rows that are nodes of a tensor grid share their
     leading coordinates, and the first-layer coordinates of a BCH product
-    are plain sums.
+    are plain sums.  No points or no batch rows give an empty result.
     """
     x = np.asarray(x, float)
     lead, P = x.shape[:-2], x.shape[-2]
+    if 0 in lead + (P,):
+        return np.zeros(lead + (P,), dtype=complex)
     axes = dual_grid.axes()
 
     def factor(k):

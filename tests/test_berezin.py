@@ -11,8 +11,8 @@ from nilquant.berezin import (BerezinConfig, berezin_kernel_points, berezin_matr
                               berezin_weak, conv_example_kernel, covariance_residual_L,
                               multiplier_field, schatten_bound_check, symbol_integral,
                               toeplitz_kernel)
-from nilquant.coherent import (PhasePoint, coherent_state, make_window, projector,
-                               reproducing_kernel)
+from nilquant.coherent import (PhasePoint, coherent_state, make_window, node_blocks,
+                               projector, reproducing_kernel)
 from nilquant.covariant import cov_at
 from nilquant.fields import Field, gaussian, random_gaussian
 from nilquant.grids import Grid, XiGrid
@@ -137,6 +137,51 @@ def test_multiplier_positive():
     phi = gaussian(1, amplitude=2.0, center=[0.5])
     m = multiplier_field(alg, w, phi, xi.g_grid)
     assert np.all(m(np.linspace(-3, 3, 21)[:, None]).real > 0)
+
+
+def per_node_multiplier(alg, window, phi, z_grid):
+    """The loop multiplier_field ran before it took blocks of z nodes: one
+    BCH product and one window call per node."""
+    z_nodes = z_grid.nodes()
+    phi_vals = phi(z_nodes)
+
+    def fn(x):
+        flat = x.reshape(-1, x.shape[-1])
+        acc = np.zeros(len(flat), dtype=complex)
+        for z, pv in zip(z_nodes, phi_vals):
+            acc += pv * np.abs(window(alg.bch(z, flat))) ** 2
+        return (z_grid.weight * acc).reshape(x.shape[:-1])
+
+    return fn
+
+
+@pytest.mark.parametrize("group", ["abelian:1", "heisenberg:1"])
+@pytest.mark.parametrize("points", [1, 7, 300, 5000])
+def test_multiplier_blocks_are_bitwise_the_per_node_loop(group, points, monkeypatch):
+    """Blocks of max(2, BLOCK_ENTRIES // points) z nodes, one BCH product
+    per block, each node's row added in node order."""
+    alg = abelian(1) if group == "abelian:1" else heisenberg()
+    n = alg.dim
+    z_grid = Grid.box(n, 3.0, 64 if n == 1 else 5)
+    w = make_window(alg, Grid.box(n, 4.0, 16 if n == 1 else 6), sigma=0.9,
+                    center=np.linspace(0.3, -0.2, n))
+    phi = gaussian(n, 1.2, np.linspace(-0.2, 0.4, n), np.linspace(0.3, -0.1, n))
+    x = np.random.default_rng(points).uniform(-2.0, 2.0, (points, n))
+    calls = []
+    bch = type(alg).bch
+
+    def counted(self, X, Y):
+        calls.append(np.shape(X))
+        return bch(self, X, Y)
+
+    monkeypatch.setattr(type(alg), "bch", counted)
+    got = multiplier_field(alg, w, phi, z_grid)(x)
+    blocks = node_blocks(z_grid.size, points)
+    assert calls == [(b.stop - b.start, 1, n) for b in blocks]
+    monkeypatch.undo()
+    want = per_node_multiplier(alg, w, phi, z_grid)(x)
+    assert got.shape == (points,)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_conv_example_matches_closed_form_assembly():

@@ -252,6 +252,24 @@ def test_batched_dual_phase_points_is_bitwise_per_row(name, sign, shared):
         assert bits(dual_phase_points(h[b], x[b], dual, sign)) == bits(want)
 
 
+@pytest.mark.parametrize("name", ["abelian:1", "heisenberg:1"])
+def test_dual_phase_points_without_points_or_rows_is_empty(name):
+    alg, _, xi, _, _ = case(name)
+    dual, n = xi.dual_grid, alg.dim
+    h = np.ones((3, dual.size), dtype=complex)
+    assert dual_phase_points(h, np.zeros((3, 0, n)), dual, 1).shape == (3, 0)
+    assert dual_phase_points(h[0], np.zeros((0, n)), dual, -1).shape == (0,)
+    assert dual_phase_points(h[:0], np.zeros((0, 4, n)), dual, -1).shape == (0, 4)
+
+
+@pytest.mark.parametrize("name", ["abelian:1", "heisenberg:1"])
+def test_bargmann_adjoint_at_no_targets_is_empty(name):
+    alg, y_grid, xi, _, _ = case(name)
+    got = bargmann_adjoint(alg, make_window(alg, y_grid), random_xi(xi, 3),
+                           np.zeros((0, alg.dim)))
+    assert got.shape == (0,) and got.dtype == complex
+
+
 # -- the blocked maps ----------------------------------------------------------
 
 @pytest.mark.parametrize("block", BLOCKS)

@@ -451,6 +451,41 @@ def test_cli_magnetic_summary_records_the_circulation_rule(tmp_path, potential, 
                                     "circulation_points": points}
 
 
+ABELIAN2 = {"group": "abelian:2", "grid": {"half_width": 4, "count": 8},
+            "xi_grid": {"g": {"half_width": 4, "count": 6}, "dual": {"half_width": 3, "count": 6}}}
+H1_Z5 = {"group": "heisenberg:1", "grid": {"half_width": 3.0, "count": 5},
+         "xi_grid": {"g": {"half_width": 3.0, "count": 5}, "dual": {"half_width": 2.0, "count": 3}}}
+
+
+@pytest.mark.parametrize("config, args, record", [
+    (ABELIAN2, ["--scheme", "berezin"], {"nodes": 36, "groups": 1, "central_axes": [0, 1]}),
+    (ABELIAN2, ["--scheme", "magnetic", "--potential", "landau:0.5"],
+     {"nodes": 36, "groups": 1, "central_axes": [0, 1]}),
+    (H1_Z5, ["--scheme", "berezin"], {"nodes": 125, "groups": 25, "central_axes": [2]}),
+    (H1_Z5, ["--scheme", "tau", "--tau", "symmetric"],
+     {"nodes": 125, "groups": 25, "central_axes": [2]}),
+    (H1_Z5, ["--scheme", "magnetic", "--potential", "linear3:0.5"],
+     {"nodes": 125, "groups": 25, "central_axes": [2]}),
+], ids=["abelian2-berezin", "abelian2-magnetic", "h1-berezin", "h1-tau", "h1-magnetic"])
+def test_cli_summary_records_the_z_groups(tmp_path, config, args, record):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "q"
+    assert main(["quantize", "--config", str(path), *args, "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["z_quadrature"] == record
+
+
+@pytest.mark.parametrize("symbol, scheme", [({"kind": "one"}, "berezin"), (None, "op")])
+def test_cli_summary_has_no_z_groups_without_an_assembled_kernel(tmp_path, symbol, scheme):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**SMALL, "scheme": scheme,
+                                **({"symbol": symbol} if symbol else {})}))
+    out = tmp_path / "q"
+    assert main(["quantize", "--config", str(path), "--out", str(out)]) == 0
+    assert "z_quadrature" not in json.loads((out / "summary.json").read_text())
+
+
 def test_report_determinism():
     a = run_suites("weyl", seed=5)
     b = run_suites("weyl", seed=5)

@@ -3,8 +3,8 @@ plain, tau-ordered and magnetic quantizers and the covariance points,
 including off-centre, underflowing and vanishing windows: the real-
 exponential split of complex symbols (one full block) and the Hermitian half
 of real ones (upper-triangle blocks, mirrored) against the fused complex-exp
-loop, and the chunks of z nodes and batches of their row data against the
-per-node loop."""
+loop, and the groups of z nodes along the central axes, their chunks and the
+batches of their row data against the per-node loop."""
 
 import tracemalloc
 
@@ -15,7 +15,7 @@ from nilquant import berezin
 from nilquant.algebra import abelian, heisenberg
 from nilquant.berezin import (CHUNK_ENTRIES, BerezinConfig, _row_blocks, assemble_kernel,
                               berezin_kernel_points, berezin_matrix)
-from nilquant.coherent import Window, make_window
+from nilquant.coherent import Window, WeylSystem, make_window
 from nilquant.fields import Field, gaussian
 from nilquant.grids import Grid, XiGrid
 from nilquant.magnetic import VectorPotential, linear3_potential, mag_berezin, zero_potential
@@ -26,12 +26,20 @@ from nilquant.tau import berezin_tau, symmetric_tau, tau_e
 TOL = 1e-12
 
 
+def flat_nodes(z_nodes):
+    """The nodes of a flat (nodes, n) or grouped (groups, members, n) array,
+    in order."""
+    z_nodes = np.asarray(z_nodes, float)
+    return z_nodes.reshape(-1, z_nodes.shape[-1])
+
+
 def fused_complex_exp(symbol, z_nodes, z_weight, row_data, col_data=None):
     """The per-node loop assemble_kernel ran before the real-exponential
     split and the Hermitian half: exp(row_i + col_j - cross_ij) over one
-    complex m x k buffer, every entry computed."""
+    complex m x k buffer, every entry computed.  Grouped nodes (groups,
+    members, n) are taken one node at a time."""
     K = buf = None
-    for z in z_nodes:
+    for z in flat_nodes(z_nodes):
         P, G = row_data(z)
         Q, H = (P, G) if col_data is None else col_data(z)
         pref, row, col, Xs, Qf = symbol.hat2_pair_exponent(z, P, Q)
@@ -54,10 +62,11 @@ def fused_complex_exp(symbol, z_nodes, z_weight, row_data, col_data=None):
 
 def per_node_split(symbol, z_nodes, z_weight, row_data, col_data=None):
     """The loop assemble_kernel ran before z nodes were chunked: the same
-    real-exponential split and Hermitian half, one node at a time."""
+    real-exponential split and Hermitian half, one node at a time (grouped
+    nodes too)."""
     half = col_data is None and symbol.real
     spans = accs = None
-    for z in z_nodes:
+    for z in flat_nodes(z_nodes):
         P, G = row_data(z)
         Q, H = (P, G) if col_data is None else col_data(z)
         pref, row, col, Xs, Qf = symbol.hat2_pair_exponent(z, P, Q)
@@ -365,7 +374,7 @@ def test_symbols_without_pair_exponent_raise_symbol_error(symbol):
         berezin_kernel_points(cfg, grid.nodes())
 
 
-# -- chunks of z nodes against the per-node loop --------------------------------
+# -- groups of z nodes against the per-node loop --------------------------------
 
 def translated_symbol(n):
     alg = GROUPS["heisenberg:1" if n == 3 else "abelian:1"]()[0]
@@ -376,12 +385,13 @@ def xi_only_symbol(n):
     return XiOnlySymbol.gaussian(n, center=np.linspace(0.3, -0.2, n), sigma=0.8)
 
 
-# the prefactor of these is real, so a chunk's terms are bitwise the
-# per-node ones; a complex prefactor may round its product differently
-BITWISE_SYMBOLS = {"real": real_off_centre_symbol, "translated": translated_symbol,
-                   "xi_only": xi_only_symbol}
-CHUNK_SYMBOLS = {"complex": off_centre_symbol, **BITWISE_SYMBOLS}
+CHUNK_SYMBOLS = {"complex": off_centre_symbol, "real": real_off_centre_symbol,
+                 "translated": translated_symbol, "xi_only": xi_only_symbol}
 CHUNK_SCHEMES = ["plain", "points", "covariance", "row", "tau", "magnetic"]
+
+# a group's member sum rounds differently from the node-by-node sum; these
+# comparisons held bitwise before the central z axes were summed in groups
+GROUP_TOL = 1e-13
 
 
 @pytest.mark.parametrize("group", sorted(GROUPS))
@@ -395,9 +405,7 @@ def test_chunks_match_per_node_loop(group, window, scheme, kind, monkeypatch):
     assert K.shape == ref.shape
     assert np.all(np.isfinite(K))
     assert np.max(np.abs(ref)) > 0
-    assert relative_gap(K, ref) <= TOL
-    if kind in BITWISE_SYMBOLS:
-        assert np.array_equal(K, ref)
+    assert relative_gap(K, ref) <= GROUP_TOL
 
 
 def recording(row_data, shapes):
@@ -414,62 +422,78 @@ def plain_row(alg, window, points):
     return row
 
 
+def z_groups(cfg):
+    return cfg.z_groups(WeylSystem(cfg.algebra))
+
+
+# (groups, members) of the plain system's z quadrature in `config`: the 4^3
+# H1 grid in groups along its central axis, the line's 32 nodes in one group
+GROUPINGS = {"heisenberg:1": (16, 4), "abelian:1": (1, 32)}
+
+
 @pytest.mark.parametrize("group", sorted(GROUPS))
 def test_first_node_alone_then_chunks_of_the_rule(group):
-    """The first node alone, then max(1, CHUNK_ENTRIES // (m k + m + k))
-    nodes at a time, with a short last chunk (the node count is no multiple
-    of it)."""
+    """The first node alone, which fixes m and k, then batches of
+    max(1, CHUNK_ENTRIES // (m k + M (m + k))) groups of M members with a
+    short last one."""
     cfg = config(group, "off_centre", real_off_centre_symbol)
     alg, x = cfg.algebra, cfg.g_grid.nodes()
-    z_nodes, z_w = cfg.z_quadrature()
-    m, n, total = len(x), alg.dim, len(z_nodes)
-    chunk = CHUNK_ENTRIES // (m * m + 2 * m)
-    assert 1 < chunk and (total - 1) % chunk != 0
+    z_nodes, z_w = z_groups(cfg)
+    (groups, members), m, n = z_nodes.shape[:2], len(x), alg.dim
+    assert (groups, members) == GROUPINGS[group]
+    chunk = CHUNK_ENTRIES // (m * m + members * 2 * m)
+    full, rest = divmod(groups, chunk)
+    assert 1 < chunk and (groups == 1 or rest != 0)
     shapes = []
     row = plain_row(alg, cfg.window, x)
     K = assemble_kernel(cfg.symbol, z_nodes, z_w, recording(row, shapes))
-    full, rest = divmod(total - 1, chunk)
-    assert shapes == [(n,)] + [(chunk, 1, n)] * full + [(rest, 1, n)]
-    assert np.array_equal(K, per_node_split(cfg.symbol, z_nodes, z_w, row))
+    batches = [(chunk, members, 1, n)] * full + [(rest, members, 1, n)] * (rest > 0)
+    assert shapes == [(n,)] + batches
+    assert relative_gap(K, per_node_split(cfg.symbol, z_nodes, z_w, row)) <= GROUP_TOL
 
 
 @pytest.mark.parametrize("group", sorted(GROUPS))
 def test_last_chunk_of_one_node(group):
-    """A last chunk of one node is passed as a single node (n,), like the first."""
+    """Flat nodes are groups of one; a last chunk of one node is passed as
+    one group (1, 1, 1, n)."""
     cfg = config(group, "off_centre")
     alg, x = cfg.algebra, cfg.g_grid.nodes()
     chunk = CHUNK_ENTRIES // (len(x) ** 2 + 2 * len(x))
-    z_nodes, z_w = cfg.z_quadrature()[0][:chunk + 2], cfg.z_quadrature()[1]
+    z_nodes, z_w = cfg.z_quadrature()[0][:chunk + 1], cfg.z_quadrature()[1]
     shapes = []
     row = plain_row(alg, cfg.window, x)
     K = assemble_kernel(cfg.symbol, z_nodes, z_w, recording(row, shapes))
-    assert shapes == [(alg.dim,), (chunk, 1, alg.dim), (alg.dim,)]
-    assert relative_gap(K, per_node_split(cfg.symbol, z_nodes, z_w, row)) <= TOL
+    assert shapes == [(alg.dim,), (chunk, 1, 1, alg.dim), (1, 1, 1, alg.dim)]
+    assert relative_gap(K, per_node_split(cfg.symbol, z_nodes, z_w, row)) <= GROUP_TOL
 
 
 def test_one_pair_exponent_call_per_chunk(monkeypatch):
+    """A 1 x 48 row: 675 groups of one fit in one chunk, and so does the
+    line's one group of 32 members; the pair split is taken once per chunk,
+    the prefactor at every member."""
     alg, grid, xi = line_grids()
     window = make_window(alg, grid)
     x = grid.nodes()
-    z_nodes, z_w = xi.g_grid.nodes(), xi.g_grid.weight
     symbol = real_off_centre_symbol(1)
     calls = []
     pair = GaussianSymbol.hat2_pair_exponent
 
     def counted(self, z, P, Q):
-        calls.append(np.shape(z))
+        calls.append((np.shape(z), np.shape(P)))
         return pair(self, z, P, Q)
 
     monkeypatch.setattr(GaussianSymbol, "hat2_pair_exponent", counted)
-    # a 1 x 48 row: 675 nodes fit in one chunk, so the 32 nodes take two calls
-    assemble_kernel(symbol, z_nodes, z_w, plain_row(alg, window, x[:1]),
-                    plain_row(alg, window, x))
-    assert calls == [(1,), (31, 1, 1)]
+    row, col = plain_row(alg, window, x[:1]), plain_row(alg, window, x)
+    flat = assemble_kernel(symbol, xi.g_grid.nodes(), xi.g_grid.weight, row, col)
+    assert calls == [((32, 1, 1), (32, 1, 1))]
+    grouped = assemble_kernel(symbol, xi.g_grid.grouped_nodes((0,)), xi.g_grid.weight, row, col)
+    assert calls[1:] == [((1, 32, 1), (1, 1, 1))]
+    assert relative_gap(grouped, flat) <= GROUP_TOL
 
 
-def batch_of(m, k):
-    """Nodes per row-data batch when a term chunk is one node."""
-    return CHUNK_ENTRIES // (8 * (m + k))
+def batch_of(m, k, members=1):
+    """Groups per row-data batch when a term chunk is one group."""
+    return CHUNK_ENTRIES // (8 * members * (m + k))
 
 
 @pytest.mark.parametrize("kind", sorted(CHUNK_SYMBOLS))
@@ -483,26 +507,24 @@ def test_one_node_per_chunk_at_large_m(kind, monkeypatch):
     assert CHUNK_ENTRIES // (grid.size ** 2 + 2 * grid.size) <= 1
     z_grid = Grid.box(1, 8.0, 40)
     batch = batch_of(grid.size, grid.size)
-    full, rest = divmod(z_grid.size - 1, batch)
+    full, rest = divmod(z_grid.size, batch)
     assert full >= 2 and rest > 1
     symbol = CHUNK_SYMBOLS[kind](1)
     shapes, terms = [], []
     add_terms = berezin._add_terms
 
-    def recorded(blocks, accs, nodes):
-        terms.append(nodes.stop - nodes.start)
-        add_terms(blocks, accs, nodes)
+    def recorded(blocks, accs, groups):
+        terms.append(groups.stop - groups.start)
+        add_terms(blocks, accs, groups)
 
     row = plain_row(alg, window, grid.nodes())
     with monkeypatch.context() as m:
         m.setattr(berezin, "_add_terms", recorded)
         K = assemble_kernel(symbol, z_grid.nodes(), z_grid.weight, recording(row, shapes))
     ref = per_node_split(symbol, z_grid.nodes(), z_grid.weight, row)
-    assert shapes == [(1,)] + [(batch, 1, 1)] * full + [(rest, 1, 1)]
+    assert shapes == [(1,)] + [(batch, 1, 1, 1)] * full + [(rest, 1, 1, 1)]
     assert terms == [1] * z_grid.size
-    assert relative_gap(K, ref) <= TOL
-    if kind in BITWISE_SYMBOLS:
-        assert np.array_equal(K, ref)
+    assert relative_gap(K, ref) <= GROUP_TOL
 
 
 def h1_large(symbol):
@@ -515,22 +537,22 @@ def h1_large(symbol):
 @pytest.mark.parametrize("scheme", ["plain", "tau", "magnetic", "points"])
 @pytest.mark.parametrize("kind", sorted(CHUNK_SYMBOLS))
 def test_h1_batches_match_per_node_loop(kind, scheme, monkeypatch):
-    """At m = 343 the row data of 11 nodes is prepared at once and each node
-    adds its own term.  The Hermitian halves of real symbols equal the
-    per-node loop bitwise.  Complex symbols take the full block, split into
-    row ranges above CHUNK_ENTRIES entries, and so do distinct row and
-    column points; the ranges may round a matmul entry differently from the
-    whole block (BLAS shape and thread effects), hence the tolerance."""
+    """At m = 343 the 125 z nodes are 25 groups of 5, a term chunk is one
+    group, and the row data of 2 groups is prepared at once.  Real symbols
+    take the Hermitian half; complex symbols take the full block, split
+    into row ranges above CHUNK_ENTRIES entries, and so do distinct row and
+    column points."""
     cfg = h1_large(CHUNK_SYMBOLS[kind])
-    m, total = cfg.g_grid.size, cfg.xi_grid.g_grid.size
-    assert CHUNK_ENTRIES // (m * m + 2 * m) < 1 and (total - 1) // batch_of(m, m) >= 2
+    m = cfg.g_grid.size
+    groups, members = z_groups(cfg)[0].shape[:2]
+    assert (groups, members) == (25, 5)
+    assert CHUNK_ENTRIES // (m * m + members * 2 * m) < 1
+    assert groups // batch_of(m, m, members) >= 2
     K = quantize(cfg, scheme)
     ref = reference(cfg, scheme, monkeypatch, per_node_split)
     assert np.all(np.isfinite(K))
     assert np.max(np.abs(ref)) > 0
-    assert relative_gap(K, ref) <= TOL
-    if kind in BITWISE_SYMBOLS and scheme != "points":
-        assert np.array_equal(K, ref)
+    assert relative_gap(K, ref) <= GROUP_TOL
 
 
 def traced_peak(assemble, *args):
@@ -544,34 +566,39 @@ def traced_peak(assemble, *args):
 
 @pytest.mark.parametrize("kind", ["real", "complex"])
 def test_h1_one_node_chunks_peak_no_higher_than_per_node_loop(kind):
-    """At m = 343 a term chunk is one node and the row data comes in batches
-    of 11 nodes, two full ones here: the Hermitian half (real symbol) and
-    the full block in row ranges (complex symbol) need no more memory than
-    the per-node loop."""
+    """At m = 343 a term chunk is one group.  Flat, the row data comes in
+    batches of 11 nodes, two full ones here; grouped along the central
+    axis, the 27 nodes are 9 groups of 3.  The Hermitian half (real symbol)
+    and the full block in row ranges (complex symbol) need no more memory
+    than the per-node loop either way."""
     alg = heisenberg()
     grid, z_grid = Grid.box(3, 4.5, 7), Grid.box(3, 3.5, 3)
     window = make_window(alg, grid)
     symbol = CHUNK_SYMBOLS[kind](3)
     row = plain_row(alg, window, grid.nodes())
-    args = (symbol, z_grid.nodes(), z_grid.weight, row)
     assert CHUNK_ENTRIES // (grid.size ** 2 + 2 * grid.size) < 1
-    assert (z_grid.size - 1) // batch_of(grid.size, grid.size) >= 2
-    assert traced_peak(assemble_kernel, *args) <= traced_peak(per_node_split, *args)
+    assert z_grid.size // batch_of(grid.size, grid.size) >= 2
+    for z_nodes in (z_grid.nodes(), z_grid.grouped_nodes(alg.central_axes)):
+        args = (symbol, z_nodes, z_grid.weight, row)
+        assert traced_peak(assemble_kernel, *args) <= traced_peak(per_node_split, *args)
 
 
 @pytest.mark.parametrize("nodes", [1024, 8192])
 def test_line_row_chunk_memory_is_bounded(nodes):
-    """A 1 x 128 row takes 255 nodes per chunk: the rule c (2k + 1) <=
-    CHUNK_ENTRIES holds a chunk to CHUNK_ENTRIES / 2 entries and as many
-    column values.  An entry's exponent and term take 24 bytes and a line
-    column value about 140 (U and V rows, window values, their logs and
-    phases, the pair-exponent temporaries), so the peak stays under
+    """A 1 x 128 row takes 255 groups of one per chunk: the rule
+    c (2k + 1) <= CHUNK_ENTRIES holds a chunk to CHUNK_ENTRIES / 2 entries
+    and as many column values.  An entry's exponent and term take 24 bytes
+    and a line column value about 140 (phase points, window values, member
+    operands, the pair-exponent temporaries), so the peak stays under
     4 CHUNK_ENTRIES * 24 bytes however many nodes there are (all 8192 nodes
-    at once would need 25 MB of exponent and term buffers alone)."""
+    at once would need 25 MB of exponent and term buffers alone).  As one
+    group, the nodes split into equal groups of at most CHUNK_ENTRIES //
+    (1 + 128) members, under the same bound."""
     alg = abelian(1)
     grid, z_grid = Grid.box(1, 10.0, 128), Grid.box(1, 10.0, nodes)
     window = make_window(alg, grid)
     x = grid.nodes()
-    args = (real_off_centre_symbol(1), z_grid.nodes(), z_grid.weight,
-            plain_row(alg, window, x[:1]), plain_row(alg, window, x))
-    assert traced_peak(assemble_kernel, *args) < 4 * CHUNK_ENTRIES * 24
+    for z_nodes in (z_grid.nodes(), z_grid.grouped_nodes((0,))):
+        args = (real_off_centre_symbol(1), z_nodes, z_grid.weight,
+                plain_row(alg, window, x[:1]), plain_row(alg, window, x))
+        assert traced_peak(assemble_kernel, *args) < 4 * CHUNK_ENTRIES * 24

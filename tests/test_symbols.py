@@ -70,24 +70,27 @@ PAIR_SYMBOLS = {
 
 @pytest.mark.parametrize("kind", sorted(PAIR_SYMBOLS))
 def test_pair_exponent_of_a_chunk_stacks_the_per_node_ones(kind):
-    """z (c, 1, n) with P (c, m, n) and Q (c, k, n) gives the per-node results
-    along a leading axis, the prefactor as a (c, 1) array; one node (n,)
-    gives a Python complex prefactor."""
+    """z (c, M, n) with P (c, m, n) and Q (c, k, n) gives the per-node results
+    along a leading axis, the prefactor as a (c, M) array, one per member of
+    a group (M = 1: a chunk of nodes); one node (n,) gives a Python complex
+    prefactor."""
     sym = PAIR_SYMBOLS[kind]()
     rng = np.random.default_rng(7)
     c, m, k = 5, 4, 6
-    z = rng.uniform(-1, 1, (c, 1, 3))
-    P = rng.uniform(-1, 1, (c, m, 3))
-    Q = rng.uniform(-1, 1, (c, k, 3))
-    pref, *rest = sym.hat2_pair_exponent(z, P, Q)
-    assert np.shape(np.broadcast_to(pref, (c, m))) == (c, m)
-    assert [a.shape for a in rest] == [(c, m), (c, k), (c, m, 3), (c, k, 3)]
-    for i in range(c):
-        one_pref, *one = sym.hat2_pair_exponent(z[i, 0], P[i], Q[i])
-        assert type(one_pref) is complex
-        assert abs(np.broadcast_to(pref, (c, 1))[i, 0] - one_pref) <= 1e-15 * abs(one_pref)
-        for a, b in zip(rest, one):
-            assert np.array_equal(a[i], b)
+    for members in (1, 3):
+        z = rng.uniform(-1, 1, (c, members, 3))
+        P = rng.uniform(-1, 1, (c, m, 3))
+        Q = rng.uniform(-1, 1, (c, k, 3))
+        pref, *rest = sym.hat2_pair_exponent(z, P, Q)
+        pref = np.broadcast_to(pref, (c, members))
+        assert [a.shape for a in rest] == [(c, m), (c, k), (c, m, 3), (c, k, 3)]
+        for i in range(c):
+            for j in range(members):
+                one_pref, *one = sym.hat2_pair_exponent(z[i, j], P[i], Q[i])
+                assert type(one_pref) is complex
+                assert abs(pref[i, j] - one_pref) <= 1e-15 * abs(one_pref)
+                for a, b in zip(rest, one):
+                    assert np.array_equal(a[i], b)
 
 
 def test_gaussian_lp_norm_vs_quadrature():

@@ -246,7 +246,8 @@ def test_plain_routes_bitwise_equal_replaced_bodies(setup):
     assert np.array_equal(fourier_wigner(alg, u, v, grid, xi).values,
                           ref_fourier_wigner(alg, u, v, grid, xi))
     cfg = BerezinConfig(alg, w, grid, xi, symbol(alg.dim))
-    z_nodes, z_w = cfg.z_quadrature()
+    # the same groups of z nodes as the plain system takes
+    z_nodes, z_w = cfg.z_groups(WeylSystem(alg))
     ref = assemble_kernel(cfg.symbol, z_nodes, z_w, ref_plain_row(alg, w, grid.nodes()))
     assert np.array_equal(berezin_matrix(cfg).kernel, ref)
 
