@@ -27,18 +27,21 @@ formula; the range of B B* is the reproducing-kernel space with kernel
 p(X, Z) = <omega_X, omega_Z>.
 
 FW on a XiGrid and B* integrate against the dual-side phase
-exp(+-i <y | zeta>) over a dual grid.  That grid is a tensor product, so the
+exp(+-i <P | zeta>) over a dual grid.  That grid is a tensor product, so the
 phase is applied axis by axis: `transforms.dual_phase_grid` for FW, whose
-y nodes form a grid as well, and `transforms.dual_phase_points` for B*, whose
-points z x do not.  Neither builds a dense points x |dual| phase matrix.
+phase points are the y nodes and form a grid as well;
+`transforms.dual_phase_from_points` for FW of moved points log(tau(z)^{-1} y),
+which do not; and `transforms.dual_phase_points` for B*, whose points z x do
+not either.  None builds a dense points x |dual| phase matrix.
 
 Both run over blocks of z nodes (`node_blocks`), never over the whole
 z x y grid at once: FW evaluates z^{-1} y, u(z^{-1} y) conj(v(y)), the
-dressing and the phase sum for one block and writes it into the
-preallocated result; B* makes one batched `dual_phase_points` call per block
-and adds each node's row into its sum in node order.  One budget,
+dressing, the phase points and the phase sum for one block and writes it
+into the preallocated result; B* makes one batched `dual_phase_points` call
+per block and adds each node's row into its sum in node order.  One budget,
 `BLOCK_ENTRIES`, sizes every block (about 16 z nodes against 1000 y nodes
-in FW, 3 in B* against 100 targets and 343 dual nodes): the block's arrays
+in FW, 2 in FW of moved points against 1000 y nodes and 49 trailing dual
+nodes, 3 in B* against 100 targets and 343 dual nodes): the block's arrays
 stay in cache and are not fresh whole-grid allocations, whose page faults
 cost as much as the arithmetic.  Every value is bitwise the same for any
 block size, since each block does per node what the whole grid did and
@@ -69,7 +72,7 @@ import numpy as np
 from .algebra import LieAlgebra
 from .fields import Field, XiSamples, gaussian
 from .grids import Grid, XiGrid
-from .transforms import dual_phase_grid, dual_phase_points, inner, l2_norm
+from .transforms import dual_phase_from_points, dual_phase_grid, dual_phase_points, inner, l2_norm
 
 
 class NyquistWarning(UserWarning):
@@ -150,10 +153,11 @@ def make_window(alg: LieAlgebra, grid: Grid, sigma: float = 1.0, center=None) ->
 # ---------------------------------------------------------------------------
 
 #: Entries per block of z nodes in the Bargmann maps: (z, y) pairs in
-#: `WeylSystem.wigner`, entries of the first dual-side product in
-#: `bargmann_adjoint` and `pseudodiff.op_quantize_samples`.  About 16 z nodes
-#: against 1000 y nodes: each block's arrays stay in cache, and reused
-#: memory spares the page faults that fresh whole-grid arrays cost.
+#: `WeylSystem.wigner` (times |dual| / D_0 for moved phase points, the
+#: entries of their Khatri-Rao factor), entries of the first dual-side
+#: product in `bargmann_adjoint` and `pseudodiff.op_quantize_samples`.
+#: About 16 z nodes against 1000 y nodes: each block's arrays stay in cache,
+#: and reused memory spares the page faults that fresh whole-grid arrays cost.
 BLOCK_ENTRIES = 1 << 14
 
 
@@ -242,37 +246,39 @@ class WeylSystem:
     def wigner(self, u: Field, v: Field, g_grid: Grid, xi_grid: XiGrid) -> XiSamples:
         """<W(z, zeta) u, v> sampled on a XiGrid; y-quadrature over `g_grid`.
 
-        Runs over blocks of z nodes (`node_blocks`, one per `BLOCK_ENTRIES`
-        (z, y) pairs), each written into the preallocated result: the change
-        of variables u(z^{-1}y) conj(v(y)), dressed node by node where the
-        system dresses, then the phase sum.  When the phase points are the
-        y grid itself the phase exp(i <y|zeta>) is applied axis by axis
-        (`dual_phase_grid`, one small cached factor per axis); moved points
-        log(tau(z)^{-1} y) form no tensor grid, so they take one dense exp
-        per z node.  Warns (`NyquistWarning`) when the dual box of `xi_grid`
+        Runs over blocks of z nodes (`node_blocks`), each written into the
+        preallocated result: the change of variables u(z^{-1}y) conj(v(y)),
+        dressed node by node where the system dresses, then the phase sum,
+        applied axis by axis.  When the phase points are the y grid itself
+        the sum is `dual_phase_grid` (one small cached factor per axis) and a
+        block holds `BLOCK_ENTRIES` (z, y) pairs.  Moved points
+        log(tau(z)^{-1} y) form no tensor grid: the block's points are one
+        broadcast `phase_points` call and the sum is `dual_phase_from_points`,
+        whose Khatri-Rao factor of |y| x |dual| / D_0 entries per node sizes
+        the block.  Warns (`NyquistWarning`) when the dual box of `xi_grid`
         is past the Nyquist band pi/h of `g_grid` on some axis.
         """
         # stacklevel: reported at the caller of the public delegation
-        _warn_past_nyquist(g_grid, xi_grid.dual_grid, stacklevel=4)
-        z_nodes, zeta_nodes = xi_grid.node_pairs()
+        dual = xi_grid.dual_grid
+        _warn_past_nyquist(g_grid, dual, stacklevel=4)
+        z_nodes = xi_grid.g_grid.nodes()
         y = g_grid.nodes()
         vy = np.conjugate(v(y))
         zinv = self.alg.inv(z_nodes)
-        vals = np.empty((len(z_nodes), len(zeta_nodes)), dtype=complex)
-        for block in node_blocks(len(z_nodes), len(y)):
+        vals = np.empty((len(z_nodes), dual.size), dtype=complex)
+        per_node = len(y) * (dual.size // dual.counts[0] if self.moves_points else 1)
+        for block in node_blocks(len(z_nodes), per_node):
             back = self.alg.bch(zinv[block, None, :], y[None, :, :])
             g_zy = u(back) * vy[None, :]
             if self.dressed:
                 for row, b in zip(g_zy, back):
                     row *= np.exp(1j * self.dressing(y, b))
-            if not self.moves_points:
-                np.multiply(g_grid.weight,
-                            dual_phase_grid(g_zy, g_grid, xi_grid.dual_grid, 1),
-                            out=vals[block])
-                continue
-            for i, row in enumerate(g_zy, block.start):
-                E = np.exp(1j * (self.phase_points(z_nodes[i], y) @ zeta_nodes.T))
-                vals[i] = g_grid.weight * (row @ E)
+            if self.moves_points:
+                points = self.phase_points(z_nodes[block, None, :], y)
+                sums = dual_phase_from_points(g_zy, points, dual, 1)
+            else:
+                sums = dual_phase_grid(g_zy, g_grid, dual, 1)
+            np.multiply(g_grid.weight, sums, out=vals[block])
         return XiSamples(xi_grid, vals)
 
 

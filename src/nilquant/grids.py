@@ -118,9 +118,6 @@ class Grid:
     def as_dual(self) -> "Grid":
         return Grid(self.half_width, self.counts, dual=True)
 
-    def refine(self, factor: int = 2) -> "Grid":
-        return Grid(self.half_width, tuple(N * factor for N in self.counts), self.dual)
-
 
 @dataclass(frozen=True)
 class XiGrid:
@@ -157,6 +154,3 @@ class XiGrid:
     def node_pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """(z nodes, zeta nodes); phase-space samples are indexed [i_z, i_zeta]."""
         return self.g_grid.nodes(), self.dual_grid.nodes()
-
-    def refine(self, factor: int = 2) -> "XiGrid":
-        return XiGrid(self.g_grid.refine(factor), self.dual_grid.refine(factor))

@@ -252,7 +252,7 @@ def circulation(A: VectorPotential, x, y):
     return integrand @ weights
 
 
-def flux_triangle(B: MagneticField, p0, p1, p2) -> float:
+def flux_triangle(B: MagneticField, p0, p1, p2):
     """Flux of B through the flat 2-simplex with the given corner coordinates.
 
     Oriented so that it matches the circulation of a primitive along the
@@ -261,27 +261,29 @@ def flux_triangle(B: MagneticField, p0, p1, p2) -> float:
     B.degree in t, so the tensor rule takes the points of a circulation of
     that degree (`rule_points`) on both axes: the same as the circulation of
     B's primitive, and `GL_ORDER` for ``degree=None``.
+
+    Broadcasts over leading axes of the corners, as `circulation` does.
     """
-    p0 = np.asarray(p0, float)
-    u = np.asarray(p1, float) - p0
-    v = np.asarray(p2, float) - p0
+    p0, p1, p2 = np.broadcast_arrays(*(np.asarray(p, float) for p in (p0, p1, p2)))
+    u, v = p1 - p0, p2 - p0
     t, w = _gl_rule(rule_points(None if B.degree is None else B.degree + 1))
     s_nodes = t[:, None]
-    tp_nodes = t[None, :]
-    pts = (p0[None, None, :] + s_nodes[..., None] * u[None, None, :]
-           + (tp_nodes * (1.0 - s_nodes))[..., None] * v[None, None, :])
-    vals = np.einsum("i,abij,j->ab", u, B(pts), v)
-    jac = (1.0 - s_nodes) * np.ones_like(tp_nodes)
-    return float(np.einsum("a,ab,b->", w, vals * jac, w))
+    pts = (p0[..., None, None, :] + s_nodes[..., None] * u[..., None, None, :]
+           + (t * (1.0 - s_nodes))[..., None] * v[..., None, None, :])
+    vals = np.einsum("...i,...abij,...j->...ab", u, B(pts), v)
+    return np.einsum("a,...ab,b->...", w, vals * (1.0 - s_nodes), w)
 
 
-def cocycle_flux(alg: LieAlgebra, B: MagneticField, x, y, z) -> float:
+def _cocycle_corners(alg: LieAlgebra, x, y, z):
+    """The corners x, y^{-1}x, z^{-1}y^{-1}x of the cocycle triangle."""
+    c1 = alg.bch(alg.inv(y), x)
+    return x, c1, alg.bch(alg.inv(z), c1)
+
+
+def cocycle_flux(alg: LieAlgebra, B: MagneticField, x, y, z):
     """Gamma^B(x; y, z): flux through the triangle with corners
-    x, y^{-1}x, z^{-1}y^{-1}x."""
-    x = np.asarray(x, float)
-    c1 = alg.bch(alg.inv(np.asarray(y, float)), x)
-    c2 = alg.bch(alg.inv(np.asarray(z, float)), c1)
-    return flux_triangle(B, x, c1, c2)
+    x, y^{-1}x, z^{-1}y^{-1}x.  Broadcasts over leading axes of x."""
+    return flux_triangle(B, *_cocycle_corners(alg, x, y, z))
 
 
 # ---------------------------------------------------------------------------
@@ -339,13 +341,9 @@ def cocycle_residual(alg: LieAlgebra, A: VectorPotential, u: Field, y, z,
                      points, B: MagneticField | None = None) -> float:
     """Pointwise residual of L^A_y L^A_z = e^{i Gamma^B(.; y, z)} L^A_{yz}."""
     B = B or MagneticField.from_potential(A)
-    y = np.asarray(y, float)
-    z = np.asarray(z, float)
-    points = np.asarray(points, float)
     lhs = mag_translation(alg, A, y, mag_translation(alg, A, z, u))(points)
     base = mag_translation(alg, A, alg.mul(y, z), u)(points)
-    flux = np.array([cocycle_flux(alg, B, x, y, z) for x in points])
-    rhs = np.exp(1j * flux) * base
+    rhs = np.exp(1j * cocycle_flux(alg, B, points, y, z)) * base
     scale = float(np.max(np.abs(base))) or 1.0
     return float(np.max(np.abs(lhs - rhs))) / scale
 
@@ -354,9 +352,7 @@ def stokes_residual(alg: LieAlgebra, A: VectorPotential, x, y, z,
                     B: MagneticField | None = None) -> float:
     """Flux through the cocycle triangle vs the boundary circulation of A."""
     B = B or MagneticField.from_potential(A)
-    x = np.asarray(x, float)
-    c1 = alg.bch(alg.inv(np.asarray(y, float)), x)
-    c2 = alg.bch(alg.inv(np.asarray(z, float)), c1)
+    x, c1, c2 = _cocycle_corners(alg, x, y, z)
     flux = flux_triangle(B, x, c1, c2)
     loop = (float(circulation(A, x, c1)) + float(circulation(A, c1, c2))
             + float(circulation(A, c2, x)))

@@ -23,10 +23,13 @@ dual grid factors axis by axis,
 
 and the sums the Bargmann maps and the quantizers need are applied one axis
 at a time through small (points or nodes) x D_k factor matrices instead of
-a dense (points x |dual|) phase matrix: `dual_phase_points` at arbitrary
-points, `dual_phase_grid` between two tensor grids.  `dual_phase_points`
-takes a leading batch axis, one sum per row against its own points, so the
-adjoint Bargmann map and the sampled quantizer run a block of z nodes or
+a dense (points x |dual|) phase matrix: `dual_phase_points` sums over the
+dual grid at arbitrary points, `dual_phase_grid` sums over a tensor grid of
+points onto the dual grid, and its adjoint at arbitrary points,
+`dual_phase_from_points`, sums over points onto the dual grid.  The two
+point forms take a leading batch axis, one sum per row against its own
+points, so the adjoint Bargmann map, the sampled quantizer and the
+Fourier-Wigner transform of moved phase points run a block of z nodes or
 kernel rows per call.
 """
 
@@ -100,6 +103,16 @@ def inverse_fourier(w: Field, dual_grid: Grid) -> Field:
     return Field(fn, dual_grid.n, DOMAIN_GROUP, interpolated=w.interpolated)
 
 
+def _axis_factor(x: np.ndarray, k: int, zeta_k: np.ndarray, sign: int) -> np.ndarray:
+    """exp(sign i zeta_k x_k) of shape (..., D_k, P) for points x of shape
+    (..., P, n), or one (D_k, P) factor when the batch's k-th coordinates
+    agree bit for bit."""
+    xk = x[..., k]
+    if xk.ndim > 1 and (xk.view(np.uint64) == xk[:1].view(np.uint64)).all():
+        xk = xk[0]
+    return np.exp((sign * 1j) * (zeta_k[:, None] * xk[..., None, :]))
+
+
 def dual_phase_points(h: np.ndarray, x: np.ndarray, dual_grid: Grid,
                       sign: int) -> np.ndarray:
     """sum_zeta h[zeta] exp(sign i <x | zeta>) at points x of shape (P, n).
@@ -120,21 +133,38 @@ def dual_phase_points(h: np.ndarray, x: np.ndarray, dual_grid: Grid,
     if 0 in lead + (P,):
         return np.zeros(lead + (P,), dtype=complex)
     axes = dual_grid.axes()
-
-    def factor(k):
-        """exp(sign i zeta_k x_k) of shape (..., D_k, P), or one (D_k, P)
-        factor when the batch's k-th coordinates agree bit for bit."""
-        xk = x[..., k]
-        if lead and (xk.view(np.uint64) == xk[:1].view(np.uint64)).all():
-            xk = xk[0]
-        return np.exp((sign * 1j) * (axes[k][:, None] * xk[..., None, :]))
-
-    T = np.reshape(h, lead + (-1, len(axes[-1]))) @ factor(-1)
+    T = np.reshape(h, lead + (-1, len(axes[-1]))) @ _axis_factor(x, -1, axes[-1], sign)
     for k in range(dual_grid.n - 2, -1, -1):
         T = T.reshape(lead + (-1, len(axes[k]), P))
-        T *= factor(k)[..., None, :, :]
+        T *= _axis_factor(x, k, axes[k], sign)[..., None, :, :]
         T = np.sum(T, axis=-2)
     return T.reshape(lead + (P,))
+
+
+def dual_phase_from_points(g: np.ndarray, x: np.ndarray, dual_grid: Grid,
+                           sign: int) -> np.ndarray:
+    """sum_p g[p] exp(sign i <x[p] | zeta>) for every node zeta of `dual_grid`.
+
+    The adjoint of `dual_phase_points`: points x of shape (P, n) with values
+    g of shape (P,) give the |dual| sums in C node order, and a leading batch
+    axis on both, g of shape (B, P) with x of shape (B, P, n), gives
+    (B, |dual|), row b summed over its own points.  With F_k the (D_k, P)
+    axis factors of `dual_phase_points`, the sums are one (stacked) matrix
+    product F_0 @ (g * F_1 * ... * F_{n-1})^T whose right factor is the
+    row-wise Khatri-Rao product over the points, of
+    P x |dual| / D_0 entries per row; no P x |dual| matrix is formed.  No
+    points give zeros, no batch rows an empty result.
+    """
+    x = np.asarray(x, float)
+    lead, P = x.shape[:-2], x.shape[-2]
+    if 0 in lead + (P,):
+        return np.zeros(lead + (dual_grid.size,), dtype=complex)
+    axes = dual_grid.axes()
+    R = np.asarray(g)[..., None, :]
+    for k in range(1, dual_grid.n):
+        R = R[..., :, None, :] * _axis_factor(x, k, axes[k], sign)[..., None, :, :]
+        R = R.reshape(R.shape[:-3] + (-1, P))
+    return (_axis_factor(x, 0, axes[0], sign) @ np.swapaxes(R, -1, -2)).reshape(lead + (-1,))
 
 
 @lru_cache(maxsize=32)

@@ -196,6 +196,38 @@ def test_cocycle_flux_corners():
     assert abs(cocycle_flux(alg, B, x, np.zeros(3), np.zeros(3))) < 1e-14
 
 
+def variable_potential(n):
+    """A degree-2 potential on the first two axes whose field varies:
+    dA = (0.4 - 0.3 x_2) dx_1^dx_2."""
+    def fn(p):
+        out = np.zeros_like(p)
+        out[..., 0] = 0.2 * p[..., 1] ** 2
+        out[..., 1] = 0.4 * p[..., 0] + 0.1 * p[..., 0] * p[..., 1]
+        return out
+    return VectorPotential(fn, name="variable", degree=2)
+
+
+@pytest.mark.parametrize("alg", [abelian(2), heisenberg()], ids=["abelian:2", "heisenberg:1"])
+def test_cocycle_with_a_variable_field(alg):
+    """A constant field gives every cocycle triangle the same flux whatever
+    x is; this one does not.  All points at once against one literal
+    triangle per point, and the cocycle relation itself."""
+    n = alg.dim
+    rng = np.random.default_rng(25)
+    A = variable_potential(n)
+    B = MagneticField.from_potential(A)
+    y, z = rng.uniform(-1.0, 1.0, (2, n))
+    points = rng.uniform(-1.5, 1.5, (9, n))
+    got = cocycle_flux(alg, B, points, y, z)
+    assert got.shape == (9,)
+    for x, flux in zip(points, got):
+        back = alg.bch(alg.inv(y), x)
+        want = flux_triangle(B, x, back, alg.bch(alg.inv(z), back))
+        assert abs(flux - want) <= 1e-14 * (1.0 + abs(want))
+    assert np.ptp(got) > 1e-2
+    assert cocycle_residual(alg, A, gaussian(n), y, z, points, B) < 1e-8
+
+
 def test_mag_weyl_and_coherent_reductions():
     alg, grid, xi, w = plane()
     rng = np.random.default_rng(9)

@@ -19,9 +19,12 @@ from nilquant.grids import Grid, XiGrid
 from nilquant.magnetic import circulation, linear3_potential, mag_wigner, zero_potential
 from nilquant.pseudodiff import op_quantize, op_quantize_samples
 from nilquant.symbols import XiOnlySymbol
-from nilquant.transforms import _axis_phase_factors, dual_phase_grid, dual_phase_points
+from nilquant.transforms import (_axis_phase_factors, dual_phase_from_points, dual_phase_grid,
+                                 dual_phase_points)
 
 TOL = 1e-12
+#: the points -> dual-grid sum against its literal dense sum
+FROM_POINTS_TOL = 1e-13
 
 
 # -- the dense routes the separable ones replaced ----------------------------
@@ -32,6 +35,11 @@ def dense_points(h, x, dual_grid, sign):
 
 def dense_grid(g, y_grid, dual_grid, sign):
     return g @ np.exp(sign * 1j * (y_grid.nodes() @ dual_grid.nodes().T))
+
+
+def dense_from_points(g, x, dual_grid, sign):
+    """One row: the values at the points times the dense phase matrix."""
+    return g @ np.exp(sign * 1j * (x @ dual_grid.nodes().T))
 
 
 def dense_fourier_wigner(alg, u, v, g_grid, xi_grid):
@@ -130,6 +138,45 @@ def test_point_form_matches_dense(name, sign):
     assert rel_max(got, dense_points(h, x, dual, sign)) <= TOL
 
 
+# one dual grid per dimension, every axis with its own count
+DUALS = {1: CASES["abelian:1"][3], 2: Grid((2.2, 1.3), (4, 7), dual=True),
+         3: CASES["heisenberg:1"][3], 4: CASES["engel"][3]}
+
+
+@pytest.mark.parametrize("n", sorted(DUALS))
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("batch", [None, 1, 5])
+@pytest.mark.parametrize("shared", [False, True])
+def test_from_points_form_matches_dense(n, sign, batch, shared):
+    """One row unbatched, a batch of one and of five rows; `shared` gives
+    every row the same coordinates on all axes but the last, so one factor
+    serves the batch on those axes."""
+    dual = DUALS[n]
+    rng = np.random.default_rng(8)
+    rows = batch or 1
+    x = rng.uniform(-3.0, 3.0, (rows, 37, n))
+    if shared:
+        x[:, :, :-1] = x[0, :, :-1]
+    g = rng.normal(size=(rows, 37)) + 1j * rng.normal(size=(rows, 37))
+    want = np.stack([dense_from_points(g[b], x[b], dual, sign) for b in range(rows)])
+    if batch is None:
+        got = dual_phase_from_points(g[0], x[0], dual, sign)[None]
+    else:
+        got = dual_phase_from_points(g, x, dual, sign)
+    assert got.shape == (rows, dual.size)
+    assert rel_max(got, want) <= FROM_POINTS_TOL
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_from_points_form_without_points_or_rows(n):
+    dual = DUALS[n]
+    got = dual_phase_from_points(np.ones((3, 0)), np.zeros((3, 0, n)), dual, 1)
+    assert got.shape == (3, dual.size) and got.dtype == complex and not got.any()
+    assert dual_phase_from_points(np.ones(0), np.zeros((0, n)), dual, -1).shape == (dual.size,)
+    assert dual_phase_from_points(np.ones((0, 4)), np.zeros((0, 4, n)), dual, 1).shape == (
+        0, dual.size)
+
+
 def test_grid_form_factors_are_cached_and_read_only():
     _, y_grid, xi, _, _ = case("heisenberg:1")
     g = np.ones((1, y_grid.size), dtype=complex)
@@ -157,6 +204,9 @@ def test_random_box_grids(n, sign, data):
     x = rng.uniform(-4.0, 4.0, (int(rng.integers(1, 20)), n))
     h = rng.normal(size=dual.size) + 1j * rng.normal(size=dual.size)
     assert rel_max(dual_phase_points(h, x, dual, sign), dense_points(h, x, dual, sign)) <= TOL
+    gx = rng.normal(size=len(x)) + 1j * rng.normal(size=len(x))
+    assert rel_max(dual_phase_from_points(gx, x, dual, sign),
+                   dense_from_points(gx, x, dual, sign)) <= FROM_POINTS_TOL
 
 
 # -- the routes built on them ------------------------------------------------
