@@ -244,6 +244,14 @@ class LieAlgebra:
         return tuple(k for k in range(self.dim) if not (self.c[k].any() or self.c[:, k].any()))
 
     @cached_property
+    def first_layer_axes(self) -> tuple[int, ...]:
+        """The coordinate axes k that no bracket lands on, c[:, :, k] all
+        zero: on H1 and Engel axes 0 and 1, on an Abelian algebra every
+        axis.  The BCH program never writes those components, so they are
+        plain sums, (X * Y)_k = X_k + Y_k, bit for bit."""
+        return tuple(k for k in range(self.dim) if not self.c[:, :, k].any())
+
+    @cached_property
     def _bch_program(self) -> tuple[tuple[int, _BracketNode], ...]:
         return _compile_bch(self._bracket_ops, self.dim, self.step)
 

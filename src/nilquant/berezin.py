@@ -255,10 +255,11 @@ def assemble_kernel(symbol: XiSymbol, z_nodes: np.ndarray, z_weight: float,
     group's term is Hermitian, and positive semidefinite for f >= 0 as the
     Schur product of the PSD matrices E and S.  Then only the upper-triangle
     row blocks [r0, r1) x [r0, m) are accumulated, each in its own
-    contiguous buffer (`_row_blocks`); the lower triangle is mirrored once
-    at the end and the diagonal made real, so K == K^H exactly.  Otherwise
-    the whole (m, k) matrix is accumulated in one array, as one block or,
-    above CHUNK_ENTRIES entries, as row ranges (`_row_ranges`).
+    contiguous buffer (`_row_blocks`); at the end each block writes its
+    conjugate transpose into the lower triangle and the diagonal is made
+    real, so K == K^H exactly.  Otherwise the whole (m, k) matrix is
+    accumulated in one array, as one block or, above CHUNK_ENTRIES entries,
+    as row ranges (`_row_ranges`).
 
     Memory.  The first node alone fixes m and k.  A group of M members is
     split into equal groups of `_members` members each, at most
@@ -317,10 +318,13 @@ def assemble_kernel(symbol: XiSymbol, z_nodes: np.ndarray, z_weight: float,
     del U, V, A, B, buffers, blocks  # frees them before the mirrored kernel is built
     if half:
         K = np.empty((m, m), dtype=complex)
-        for (r0, r1, c0), acc in zip(spans, accs):
-            K[r0:r1, c0:] = acc
-        lower = np.tril_indices(m, -1)
-        K[lower] = np.conjugate(K.T[lower])
+        for (r0, r1, _), acc in zip(spans, accs):
+            h = r1 - r0
+            K[r0:r1, r0:] = acc
+            # the block's mirror: the columns below it, then the strictly
+            # lower part of its diagonal square
+            np.conjugate(acc[:, h:].T, out=K[r1:, r0:r1])
+            np.conjugate(acc[:, :h].T, out=K[r0:r1, r0:r1], where=np.tri(h, k=-1, dtype=bool))
         K.flat[::m + 1] = K.diagonal().real
     K *= z_weight
     return K
@@ -426,7 +430,11 @@ def conv_example_kernel(cfg: BerezinConfig, psi: Field, z_quadrature=None) -> Op
         h(x, y) = integral psit[log(zx) - log(zy)] omega(zx) conj(omega(zy)) dz
 
     with psit the (2 pi)^{-n}-weighted transform of psi; per z node the
-    (x, y) matrix of psit values factors into one matrix product.
+    (x, y) matrix of psit values factors into one matrix product over the
+    dense (x, zeta) phase matrix.  The z nodes run in blocks
+    (`coherent.node_blocks`, sized by the phase and product entries of a
+    node): one BCH product, one stacked exp and one stacked matrix product
+    per block, each node's term added in node order.
     """
     alg, window = cfg.algebra, cfg.window
     z_nodes, z_w = z_quadrature or cfg.z_quadrature()
@@ -435,12 +443,12 @@ def conv_example_kernel(cfg: BerezinConfig, psi: Field, z_quadrature=None) -> Op
     zeta = dual.nodes()
     psi_w = psi(zeta) * dual.weight
     K = np.zeros((len(x), len(x)), dtype=complex)
-    for z in z_nodes:
-        zx = alg.bch(z, x)
+    for block in node_blocks(len(z_nodes), len(x) * (len(x) + len(zeta))):
+        zx = alg.bch(z_nodes[block, None, :], x[None, :, :])
         E = np.exp(-1j * (zx @ zeta.T))
-        core = (E * psi_w[None, :]) @ E.conj().T
-        g = window(zx)
-        K += core * (g[:, None] * np.conjugate(g)[None, :])
+        cores = (E * psi_w) @ np.swapaxes(E.conj(), -1, -2)
+        for core, g in zip(cores, window(zx)):
+            K += core * (g[:, None] * np.conjugate(g)[None, :])
     return OperatorMatrix(cfg.g_grid, z_w * K)
 
 

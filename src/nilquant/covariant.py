@@ -12,9 +12,15 @@ and the diagonal of cov(Ber(f)) is the Berezin transform
 
     BT(f)(X) = integral f(Z) |<omega_X, omega_Z>|^2 dZ,
 
-a positivity-preserving smoothing that conserves the total integral.  Kernels
-of regularizing operators are reconstructed from the full covariant symbol by
-a double phase-space quadrature.
+a positivity-preserving smoothing that conserves the total integral.  Only
+the modulus of the overlap enters it, so a phase that depends on the point
+X = (a, alpha) and the node z but not on the quadrature variable y of the
+overlap drops out.  On the first-layer axes, where no bracket lands, the
+coordinates of a z^{-1} y are plain sums, and the dual point's phase there
+leaves only exp(-i sum_k alpha_k y_k): D |y| exps for D dual points, where a
+phase per (a, alpha, z, y) took A D |z| |y| (`_berezin_transform_points`).
+Kernels of regularizing operators are reconstructed from the full covariant
+symbol by a double phase-space quadrature.
 
 Full symbols are stored on (deliberately coarse) Xi x Xi grids; a hard entry
 guard protects against accidental quadratic blow-ups.
@@ -127,16 +133,36 @@ def _berezin_transform_points(cfg: BerezinConfig, a_nodes: np.ndarray,
 
         e^{i <y|zeta>} e^{-i <a z^{-1} y | alpha>} omega(a z^{-1} y) conj(omega(y)).
 
-    The symbol is sampled once and z^{-1} y and conj(omega(y)) are formed
-    once; a z^{-1} y and the window on it once per group point a; the
-    phases of all dual points alpha are one stacked exp and one
-    `dual_phase_grid` call, in chunks of at most `BT_CHUNK_ENTRIES` block
-    and transform entries.  Warns (`NyquistWarning`) when the dual box of
-    cfg.xi_grid is past the Nyquist band of cfg.g_grid.
+    Only its modulus enters BT.  On a first-layer axis k
+    (`LieAlgebra.first_layer_axes`) the coordinate (a z^{-1} y)_k =
+    a_k - z_k + y_k is a plain sum, and the factor e^{-i alpha_k (a_k - z_k)}
+    does not depend on y: a unimodular constant of each (z, zeta) y-sum, it
+    cancels in |.|^2.  What is left of the phase is
+
+        Y[alpha, y] = e^{-i sum_{k first-layer} alpha_k y_k}
+
+    times e^{-i <a z^{-1} y | beta>}, beta the coordinates of alpha on the
+    other axes.  The symbol is sampled once, z^{-1} y, conj(omega(y)) and Y
+    (D N_y complex exps) are formed once; a z^{-1} y and the window on it
+    once per group point a.  The dual points are taken in groups of equal
+    beta: per a and group one (N_z, N_y) exp of the remaining phase, none for
+    beta = 0 (every alpha on an Abelian group), times the window product;
+    each chunk of the group's points is that array times its rows of Y and
+    one `dual_phase_grid` call, in chunks of at most `BT_CHUNK_ENTRIES` block
+    and transform entries.  So a call takes D N_y + A G N_z N_y exps for G
+    groups with beta != 0, where a phase per (a, alpha, z, y) took
+    A D N_z N_y.  No group points or no dual points give an empty result.
+    Warns (`NyquistWarning`) when the dual box of cfg.xi_grid is past the
+    Nyquist band of cfg.g_grid.
     """
     alg, w, xi, y_grid = cfg.algebra, cfg.window, cfg.xi_grid, cfg.g_grid
     # stacklevel: reported at the caller of the public berezin_transform*
     _warn_past_nyquist(y_grid, xi.dual_grid, stacklevel=4)
+    a_nodes = np.asarray(a_nodes, float)
+    alpha_nodes = np.asarray(alpha_nodes, float)
+    out = np.empty((len(a_nodes), len(alpha_nodes)), dtype=complex)
+    if out.size == 0:
+        return out
     f = sample_xi(cfg.symbol, xi).values.reshape(-1)    # (N_z N_zeta,)
     f_re, f_im = np.ascontiguousarray(f.real), np.ascontiguousarray(f.imag)
     y = y_grid.nodes()
@@ -144,21 +170,28 @@ def _berezin_transform_points(cfg: BerezinConfig, a_nodes: np.ndarray,
     conj_wy = np.conjugate(w(y))
     n_z, n_y = back.shape[:2]
     chunk = max(1, BT_CHUNK_ENTRIES // (n_z * (n_y + xi.dual_grid.size)))
-    alpha_nodes = np.asarray(alpha_nodes, float)
-    out = np.empty((len(a_nodes), len(alpha_nodes)), dtype=complex)
-    for i, a in enumerate(np.asarray(a_nodes, float)):
+    first = list(alg.first_layer_axes)
+    rest = [k for k in range(alg.dim) if k not in first]
+    Y = np.exp(-1j * (alpha_nodes[:, first] @ y[:, first].T))     # (D, N_y)
+    betas, which = np.unique(alpha_nodes[:, rest], axis=0, return_inverse=True)
+    groups = [(beta, np.flatnonzero(which.ravel() == g)) for g, beta in enumerate(betas)]
+    for i, a in enumerate(a_nodes):
         azy = alg.bch(a, back)
         g = w(azy) * conj_wy
-        for s in range(0, len(alpha_nodes), chunk):
-            alpha = alpha_nodes[s:s + chunk]
-            block = np.multiply(np.tensordot(alpha, azy, axes=([1], [2])), -1j)  # (c, N_z, N_y)
-            np.exp(block, out=block)
-            block *= g
-            power = np.abs(dual_phase_grid(block.reshape(-1, n_y), y_grid, xi.dual_grid, 1))
-            power *= power
-            power = power.reshape(len(alpha), -1)
-            out.real[i, s:s + len(alpha)] = power @ f_re
-            out.imag[i, s:s + len(alpha)] = power @ f_im
+        for beta, members in groups:
+            phase = g
+            if beta.any():
+                phase = np.exp(-1j * (azy[..., rest] @ beta))
+                phase *= g
+            for s in range(0, len(members), chunk):
+                sel = members[s:s + chunk]
+                block = phase * Y[sel, None, :]                      # (c, N_z, N_y)
+                power = np.abs(dual_phase_grid(block.reshape(-1, n_y), y_grid,
+                                               xi.dual_grid, 1))
+                power *= power
+                power = power.reshape(len(sel), -1)
+                out.real[i, sel] = power @ f_re
+                out.imag[i, sel] = power @ f_im
     return (xi.weight * y_grid.weight ** 2) * out
 
 

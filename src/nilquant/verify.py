@@ -23,8 +23,8 @@ from .ccr import CcrContext, verify_ccr
 from .coherent import (PhasePoint, bargmann, bargmann_adjoint, fourier_wigner,
                        make_window, projector, reproducing_apply, weyl,
                        weyl_compose_factor)
-from .covariant import (berezin_transform, cov_full, kernel_from_cov,
-                        norm_bound_checks, square_compose)
+from .covariant import (berezin_transform, berezin_transform_nodes, cov_full,
+                        kernel_from_cov, norm_bound_checks, square_compose)
 from .fields import Field, gaussian, random_gaussian
 from .grids import Grid, XiGrid
 from .magnetic import (circulation, cocycle_residual, gauge_berezin_residual,
@@ -451,7 +451,6 @@ def suite_covariant(seed: int = 8, tol_scale: float = 1.0) -> list[CheckResult]:
 
     with Timer() as t:
         coarse_bt = XiGrid.box(1, 10.0, 16)
-        from .covariant import berezin_transform_nodes
         bt_vals = berezin_transform_nodes(cfg, coarse_bt)
         mass = coarse_bt.weight * float(np.sum(np.real(bt_vals)))
         ref = symbol_integral(cfg).real

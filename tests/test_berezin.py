@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from nilquant import coherent
 from nilquant.algebra import abelian, heisenberg
 from nilquant.berezin import (BerezinConfig, berezin_kernel_points, berezin_matrix,
                               berezin_weak, conv_example_kernel, covariance_residual_L,
@@ -181,6 +182,62 @@ def test_multiplier_blocks_are_bitwise_the_per_node_loop(group, points, monkeypa
     monkeypatch.undo()
     want = per_node_multiplier(alg, w, phi, z_grid)(x)
     assert got.shape == (points,)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def per_node_conv_example(cfg, psi):
+    """The loop conv_example_kernel ran before it took blocks of z nodes: one
+    BCH product, one dense (x, zeta) phase exp and one matrix product per
+    node."""
+    alg, window = cfg.algebra, cfg.window
+    z_nodes, z_w = cfg.z_quadrature()
+    x = cfg.g_grid.nodes()
+    dual = cfg.xi_grid.dual_grid
+    zeta = dual.nodes()
+    psi_w = psi(zeta) * dual.weight
+    K = np.zeros((len(x), len(x)), dtype=complex)
+    for z in z_nodes:
+        zx = alg.bch(z, x)
+        E = np.exp(-1j * (zx @ zeta.T))
+        core = (E * psi_w[None, :]) @ E.conj().T
+        g = window(zx)
+        K += core * (g[:, None] * np.conjugate(g)[None, :])
+    return z_w * K
+
+
+@pytest.mark.parametrize("budget", ["default", "two nodes", "five nodes"])
+@pytest.mark.parametrize("group", ["abelian:1", "abelian:2", "heisenberg:1"])
+def test_conv_example_blocks_are_bitwise_the_per_node_loop(group, budget, monkeypatch):
+    """One BCH product, stacked exp and stacked matrix product per block of
+    z nodes (`node_blocks`), each node's term added in node order."""
+    if group == "abelian:1":
+        alg, grid, xi = abelian(1), Grid.box(1, 8.0, 40), XiGrid.box(1, 8.0, 23, 3.0, 30)
+    elif group == "abelian:2":
+        alg, grid, xi = abelian(2), Grid.box(2, 4.0, 6), XiGrid.box(2, 4.0, 5, 3.0, 4)
+    else:
+        alg, grid, xi = heisenberg(), Grid.box(3, 3.0, 4), XiGrid.box(3, 3.0, 3, 2.0, 3)
+    n = alg.dim
+    m, d = grid.size, xi.dual_grid.size
+    if budget != "default":
+        monkeypatch.setattr(coherent, "BLOCK_ENTRIES", (2 if budget == "two nodes" else 5)
+                            * m * (m + d))
+    sym = XiOnlySymbol.gaussian(n, sigma=1.1, center=np.linspace(0.2, -0.1, n))
+    cfg = BerezinConfig(alg, make_window(alg, grid, 0.9, np.linspace(0.1, 0.3, n)), grid, xi,
+                        sym)
+    psi = Field(sym.psi, n, "dual")
+    calls = []
+    bch = type(alg).bch
+
+    def counted(self, X, Y):
+        calls.append(np.shape(X))
+        return bch(self, X, Y)
+
+    monkeypatch.setattr(type(alg), "bch", counted)
+    got = conv_example_kernel(cfg, psi).kernel
+    blocks = node_blocks(xi.g_grid.size, m * (m + d))
+    assert calls == [(b.stop - b.start, 1, n) for b in blocks]
+    monkeypatch.undo()
+    want = per_node_conv_example(cfg, psi)
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 

@@ -305,6 +305,48 @@ def test_half_at_odd_and_small_sizes(m):
     assert np.array_equal(K, K.conj().T)
 
 
+def tril_index_mirror(K):
+    """The mirror assemble_kernel made before each block wrote its own: the
+    strictly lower triangle as a fancy-indexed conjugate copy of the upper
+    one, then the diagonal made real."""
+    m = len(K)
+    lower = np.tril_indices(m, -1)
+    K[lower] = np.conjugate(K.T[lower])
+    K.flat[::m + 1] = K.diagonal().real
+    return K
+
+
+@pytest.mark.parametrize("m", [1, 2, 63, 128, 129, 343, 515])
+def test_block_mirror_is_bitwise_the_tril_index_mirror(m, monkeypatch):
+    """The accumulated upper-triangle blocks, written and mirrored as before,
+    give the kernel bit for bit (one block below 128 rows, up to 8 above)."""
+    alg, grid, xi = abelian(1), Grid.box(1, 8.0, m), XiGrid.box(1, 8.0, 24)
+    window = make_window(alg, grid, sigma=0.8, center=[0.9])
+
+    def row(z):
+        zx = alg.bch(z, grid.nodes())
+        return zx, window(zx)
+
+    seen = []
+    add_terms = berezin._add_terms
+
+    def recording(blocks, accs, groups):
+        seen.append(accs)
+        return add_terms(blocks, accs, groups)
+
+    monkeypatch.setattr(berezin, "_add_terms", recording)
+    z_nodes, z_w = xi.g_grid.nodes(), xi.g_grid.weight
+    K = assemble_kernel(real_off_centre_symbol(1), z_nodes, z_w, row)
+    bounds = _row_blocks(m)
+    assert len(seen[0]) == len(bounds) - 1
+    ref = np.empty((m, m), dtype=complex)
+    for r0, r1, acc in zip(bounds, bounds[1:], seen[0]):
+        ref[r0:r1, r0:] = acc
+    ref = tril_index_mirror(ref)
+    ref *= z_w
+    assert np.array_equal(K.view(np.uint64), ref.view(np.uint64))
+
+
 @pytest.mark.parametrize("complex_part", [
     {"amplitude": 0.8 - 0.3j}, {"x_phase": 0.3}, {"xi_phase": -0.4}], ids=lambda d: next(iter(d)))
 @pytest.mark.parametrize("group", sorted(GROUPS))
