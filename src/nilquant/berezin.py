@@ -332,19 +332,21 @@ def assemble_kernel(symbol: XiSymbol, z_nodes: np.ndarray, z_weight: float,
 
 def _kernel_row(system: WeylSystem, window: Window, targets: np.ndarray):
     """row(z) -> (P(z, zx), omega(zx) conj(G(zx, x))) at the targets x: the
-    phase points and dressed window values of the coherent states omega_z."""
+    phase points and dressed window values of the coherent states omega_z.
+    A dressing runs over blocks of the nodes z (`coherent.node_blocks`),
+    sized by the targets times the points it evaluates per pair
+    (`WeylSystem.dressing_points`), so a potential's circulation points
+    stay in cache whatever its rule."""
     alg = system.alg
 
     def row(z):
         zx = alg.bch(z, targets)
         g = window(zx)
         if system.dressed:
-            # node by node: batched, the GL_ORDER-point circulations of a
-            # potential of unknown degree outgrow the cache and run slower,
-            # and the one-point rule of an affine potential gains nothing
-            phase = (system.dressing(zx, targets) if zx.ndim == 2 else
-                     np.stack([system.dressing(p, targets)
-                               for p in zx.reshape((-1,) + zx.shape[-2:])]))
+            nodes = zx.reshape((-1,) + zx.shape[-2:])
+            phase = np.empty(nodes.shape[:-1])
+            for block in node_blocks(len(nodes), system.dressing_points * len(targets)):
+                phase[block] = system.dressing(nodes[block], targets)
             g = g * np.exp(-1j * phase.reshape(g.shape))
         return system.phase_points(z, zx), g
     return row

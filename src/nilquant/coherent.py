@@ -31,21 +31,26 @@ exp(+-i <P | zeta>) over a dual grid.  That grid is a tensor product, so the
 phase is applied axis by axis: `transforms.dual_phase_grid` for FW, whose
 phase points are the y nodes and form a grid as well;
 `transforms.dual_phase_from_points` for FW of moved points log(tau(z)^{-1} y),
-which do not; and `transforms.dual_phase_points` for B*, whose points z x do
-not either.  None builds a dense points x |dual| phase matrix.
+which do not; and, for B*, whose points z x do not either, one Khatri-Rao
+factor per central group of z nodes (`bargmann_adjoint`).  None builds a
+dense points x |dual| phase matrix.
 
 Both run over blocks of z nodes (`node_blocks`), never over the whole
-z x y grid at once: FW evaluates z^{-1} y, u(z^{-1} y) conj(v(y)), the
+z x y grid at once.  FW evaluates z^{-1} y, u(z^{-1} y) conj(v(y)), the
 dressing, the phase points and the phase sum for one block and writes it
-into the preallocated result; B* makes one batched `dual_phase_points` call
-per block and adds each node's row into its sum in node order.  One budget,
-`BLOCK_ENTRIES`, sizes every block (about 16 z nodes against 1000 y nodes
-in FW, 2 in FW of moved points against 1000 y nodes and 49 trailing dual
-nodes, 3 in B* against 100 targets and 343 dual nodes): the block's arrays
-stay in cache and are not fresh whole-grid allocations, whose page faults
-cost as much as the arithmetic.  Every value is bitwise the same for any
-block size, since each block does per node what the whole grid did and
-no block is a lone node (see `node_blocks`).
+into the preallocated result.  B* takes the z nodes in central groups
+(`bargmann_adjoint`): one BCH product and one set of axis factors per
+group, whose members differ by a central move c with zx = z'x + c, and
+their phases exp(-i <c | zeta>) folded into h; it runs a group's members
+in chunks and adds each member's row into its sum in group order.  One
+budget, `BLOCK_ENTRIES`, sizes every block (about 16 z nodes against 1000 y
+nodes in FW, 2 in FW of moved points against 1000 y nodes and 49 trailing
+dual nodes, all 6 members of a B* group against 100 targets and 7 leading
+dual nodes): the block's arrays stay in cache and are not fresh whole-grid
+allocations, whose page faults cost as much as the arithmetic.  Every
+value is bitwise the same for any block size, since each block does per
+node what the whole grid did and no block is a lone node (see
+`node_blocks`).
 
 Two evaluation routes are kept for FW: the factored one (change of
 variables, then the separable phase) and a literal per-node quadrature;
@@ -72,7 +77,7 @@ import numpy as np
 from .algebra import LieAlgebra
 from .fields import Field, XiSamples, gaussian
 from .grids import Grid, XiGrid
-from .transforms import dual_phase_from_points, dual_phase_grid, dual_phase_points, inner, l2_norm
+from .transforms import _axis_factor, dual_phase_from_points, dual_phase_grid, inner, l2_norm
 
 
 class NyquistWarning(UserWarning):
@@ -154,10 +159,13 @@ def make_window(alg: LieAlgebra, grid: Grid, sigma: float = 1.0, center=None) ->
 
 #: Entries per block of z nodes in the Bargmann maps: (z, y) pairs in
 #: `WeylSystem.wigner` (times |dual| / D_0 for moved phase points, the
-#: entries of their Khatri-Rao factor), entries of the first dual-side
-#: product in `bargmann_adjoint` and `pseudodiff.op_quantize_samples`.
-#: About 16 z nodes against 1000 y nodes: each block's arrays stay in cache,
-#: and reused memory spares the page faults that fresh whole-grid arrays cost.
+#: entries of their Khatri-Rao factor), entries of the Khatri-Rao product
+#: of a member chunk in `bargmann_adjoint` (D_0 times the targets per
+#: member of a central group), of the first dual-side product per kernel
+#: row in `pseudodiff.op_quantize_samples`, and (node, target) pairs times
+#: the dressing's points in `berezin`'s kernel rows.  About 16 z nodes against
+#: 1000 y nodes: each block's arrays stay in cache, and reused memory spares
+#: the page faults that fresh whole-grid arrays cost.
 BLOCK_ENTRIES = 1 << 14
 
 
@@ -205,6 +213,8 @@ class WeylSystem:
     moves_points = False
     dressed = False
     shifts_with_centre = True
+    #: points the dressing evaluates per (z, y) pair; sizes its node blocks
+    dressing_points = 1
 
     def phase_points(self, z, y):
         """P(z, y): where the modulation phase of the shift by z is taken."""
@@ -415,25 +425,71 @@ def bargmann(alg: LieAlgebra, w: Window, u: Field, xi_grid: XiGrid,
 def bargmann_adjoint(alg: LieAlgebra, w: Window, h: XiSamples, targets) -> np.ndarray:
     """(B_omega)* h = integral h(z,zeta) omega_{z,zeta} d(z,zeta) at `targets`.
 
-    The zeta-sums of a block of z nodes are one batched `dual_phase_points`
-    call at the points z x, applied axis by axis; no targets x |dual| phase
-    matrix is built.  The blocks hold `BLOCK_ENTRIES` entries of that call's
-    first product, and each node's row is added into the sum in node order.
-    Warns (`NyquistWarning`) when h's dual box is past the Nyquist band of
-    the window's grid, the y-grid `bargmann` uses by default.
+    The z nodes are taken in the groups of `Grid.grouped_indices` over the
+    algebra's central axes (`LieAlgebra.central_axes`): the members z = z' + c
+    of a group differ by central moves c from its base z', whose central
+    coordinates are zero, so zx = z'x + c and
+
+        <zx | zeta> = <z'x | zeta> + <c | zeta>.
+
+    Each group makes one BCH product z'x, and its members share one set of
+    (D_k, P) axis factors exp(-i zeta_k (z'x)_k): the member phase
+    exp(-i <c | zeta>) is folded into the member's row of h.  On the
+    first-layer axes (`LieAlgebra.first_layer_axes`), (z'x)_k = z'_k + x_k,
+    so the factor exp(-i zeta_k x_k) is built once per call and a group
+    only multiplies it by exp(-i zeta_k z'_k); the other axes take one
+    factor per group at z'x.  A group's factors on every axis but the first
+    form one Khatri-Rao factor of |dual| / D_0 x P entries, so the zeta-sums
+    of its members are one matrix product against it, then one multiply
+    and sum against the first axis's factor; no P x |dual| phase matrix is
+    formed.  The window is taken per member, at z'x + c.  On H1 at the
+    `bargmann-h1` sizes that is 36 groups of 6 and about 27 000 complex
+    exps per call, where one factor set per node took 453 600; on an
+    Abelian group every axis is central and the whole grid is one group.
+
+    The members of a group run in chunks of `node_blocks`, sized by the
+    product's D_0 x P entries per member, and each member's row is added
+    into the sum in group order, so the result is bitwise the same for any
+    block budget.  It differs from the node-by-node sum by reassociation
+    alone.  Warns (`NyquistWarning`) when h's dual box is past the Nyquist
+    band of the window's grid, the y-grid `bargmann` uses by default.
     """
     dual_grid = h.xi_grid.dual_grid
     _warn_past_nyquist(w.grid, dual_grid)
     targets = np.asarray(targets, float)
-    z_nodes = h.xi_grid.g_grid.nodes()
-    acc = np.zeros(len(targets), dtype=complex)
-    per_node = len(targets) * (dual_grid.size // dual_grid.counts[-1])
-    for block in node_blocks(len(z_nodes), per_node):
-        zx = alg.bch(z_nodes[block, None, :], targets[None, :, :])
-        rows = dual_phase_points(h.values[block], zx, dual_grid, -1)
-        np.multiply(w(zx), rows, out=rows)
-        for row in rows:
-            acc += row
+    P, D_0 = len(targets), dual_grid.counts[0]
+    central, first = alg.central_axes, alg.first_layer_axes
+    index = h.xi_grid.g_grid.grouped_indices(central)
+    grouped = h.xi_grid.g_grid.nodes()[index]
+    is_central = np.isin(np.arange(alg.dim), central)
+    bases = np.where(is_central, 0.0, grouped[:, 0])          # z'
+    moves = np.where(is_central, grouped[0], 0.0)             # c, the same in every group
+    axes = dual_grid.axes()
+    across = {k: _axis_factor(targets, k, axes[k], -1) for k in first}
+    # exp(-i c_k zeta_k) per member, broadcast along axis k of a row of h
+    member_phases = [_axis_factor(moves, k, axes[k], -1).T.reshape(
+        (len(moves),) + tuple(d if a == k else 1 for a, d in enumerate(dual_grid.counts)))
+        for k in central]
+    acc = np.zeros(P, dtype=complex)
+    chunks = node_blocks(len(moves), D_0 * P)
+    for members, base in zip(index, bases):
+        base_x = alg.bch(base, targets)
+        factors = [across[k] * np.exp(-1j * (zeta_k * base[k]))[:, None] if k in first
+                   else _axis_factor(base_x, k, zeta_k, -1) for k, zeta_k in enumerate(axes)]
+        trailing = np.ones((1, P), dtype=complex)
+        for factor in factors[1:]:
+            trailing = (trailing[:, None, :] * factor).reshape(len(trailing) * len(factor), P)
+        for chunk in chunks:
+            rows = h.values[members[chunk]]
+            grid_rows = rows.reshape((-1,) + dual_grid.counts)
+            for phase in member_phases:
+                grid_rows *= phase[chunk]
+            sums = (rows.reshape(-1, len(trailing)) @ trailing).reshape(len(rows), D_0, P)
+            sums *= factors[0]
+            sums = np.sum(sums, axis=1)
+            sums *= w(base_x + moves[chunk, None, :])
+            for row in sums:
+                acc += row
     return h.xi_grid.weight * acc
 
 

@@ -104,16 +104,20 @@ class Grid:
         """(size, n) array of node coordinates, C order over axes."""
         return self._nodes
 
-    def grouped_nodes(self, axes=()) -> np.ndarray:
-        """The nodes as (groups, members, n): the members of a group differ
-        only in their coordinates on ``axes``, in C order over those axes,
-        and the groups run in C order over the other axes.  No axes gives
-        groups of one node in `nodes` order."""
+    def grouped_indices(self, axes=()) -> np.ndarray:
+        """Indices into `nodes` as (groups, members): the members of a group
+        differ only in their coordinates on ``axes``, in C order over those
+        axes, and the groups run in C order over the other axes.  No axes
+        gives groups of one node in `nodes` order."""
         axes = list(axes)
         rest = [k for k in range(self.n) if k not in axes]
         members = math.prod(self.counts[k] for k in axes)
-        grid = self.nodes().reshape(self.counts + (self.n,))
-        return grid.transpose(rest + axes + [self.n]).reshape(-1, members, self.n)
+        index = np.arange(self.size).reshape(self.counts)
+        return index.transpose(rest + axes).reshape(-1, members)
+
+    def grouped_nodes(self, axes=()) -> np.ndarray:
+        """The nodes as (groups, members, n), grouped by `grouped_indices`."""
+        return self.nodes()[self.grouped_indices(axes)]
 
     def as_dual(self) -> "Grid":
         return Grid(self.half_width, self.counts, dual=True)

@@ -297,6 +297,10 @@ class MagneticWeylSystem(WeylSystem):
     A: VectorPotential
     dressed = True
 
+    @property
+    def dressing_points(self) -> int:
+        return self.A.circulation_points
+
     def dressing(self, y, back):
         return circulation(self.A, y, back)
 

@@ -28,9 +28,10 @@ dual grid at arbitrary points, `dual_phase_grid` sums over a tensor grid of
 points onto the dual grid, and its adjoint at arbitrary points,
 `dual_phase_from_points`, sums over points onto the dual grid.  The two
 point forms take a leading batch axis, one sum per row against its own
-points, so the adjoint Bargmann map, the sampled quantizer and the
-Fourier-Wigner transform of moved phase points run a block of z nodes or
-kernel rows per call.
+points, so the sampled quantizer and the Fourier-Wigner transform of moved
+phase points run a block of z nodes or kernel rows per call.  The adjoint
+Bargmann map builds its factors with `_axis_factor` itself, since every
+member of a central group of z nodes shares them.
 """
 
 from __future__ import annotations

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from nilquant.algebra import (MAX_BCH_DEPTH, LieAlgebra, abelian, bch_terms, engel,
                               heisenberg, validate_algebra)
+from nilquant.verify import bch_matrix_oracle
 
 REL_TOL = 1e-14
 
@@ -47,10 +48,24 @@ def rel_max_abs(got, ref):
     return float(np.max(np.abs(got - ref)) / scale) if scale > 0 else float(np.max(np.abs(got)))
 
 
+def upper_basis(k, blocks=None):
+    """The positions (i, j), i < j, of the E_ij basis of strictly
+    upper-triangular k x k matrices, and the basis change P of
+    `strictly_upper(k, blocks)`: its new basis is f_a = sum_b P[b, a] e_b."""
+    idx = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    P = np.eye(len(idx))
+    if blocks is not None:
+        pos = {p: a for a, p in enumerate(idx)}
+        for level, block in enumerate(blocks, start=1):
+            members = [pos[(i, i + level)] for i in range(k - level)]
+            P[np.ix_(members, members)] = block
+    return idx, P
+
+
 def strictly_upper(k, blocks=None):
     """Strictly upper-triangular k x k matrices (step k - 1) in the basis
     E_ij, i < j; `blocks[l]` changes the basis of the level j - i = l + 1."""
-    idx = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    idx, P = upper_basis(k, blocks)
     pos = {p: a for a, p in enumerate(idx)}
     dim = len(idx)
     c = np.zeros((dim, dim, dim))
@@ -61,13 +76,19 @@ def strictly_upper(k, blocks=None):
             if q == i:
                 c[a, b, pos[(p, j)]] -= 1.0
     if blocks is not None:
-        P = np.zeros((dim, dim))
-        for level, block in enumerate(blocks, start=1):
-            members = [pos[(i, i + level)] for i in range(k - level)]
-            P[np.ix_(members, members)] = block
-        # new basis f_a = sum_b P[b, a] e_b
         c = np.einsum("ia,jb,ijk,mk->abm", P, P, c, np.linalg.inv(P))
     return LieAlgebra(dim, c, k - 1, name=f"ut{k}")
+
+
+def random_level_blocks(k, rng):
+    """A random basis of each level of the k x k strictly upper-triangular
+    matrices: an orthogonal matrix with its columns scaled by 0.5 to 2."""
+    blocks = []
+    for level in range(1, k):
+        size = k - level
+        q, _ = np.linalg.qr(rng.normal(size=(size, size)))
+        blocks.append(q * rng.uniform(0.5, 2.0, size))
+    return blocks
 
 
 ALGEBRAS = {
@@ -160,16 +181,39 @@ def test_bracket_matches_einsum_without_antisymmetry():
        shape=st.sampled_from(["point", "point-batch", "batch"]))
 def test_bch_random_strictly_upper(k, seed, shape):
     rng = np.random.default_rng(seed)
-    blocks = []
-    for level in range(1, k):
-        size = k - level
-        q, _ = np.linalg.qr(rng.normal(size=(size, size)))
-        blocks.append(q * rng.uniform(0.5, 2.0, size))
-    alg = strictly_upper(k, blocks)
+    alg = strictly_upper(k, random_level_blocks(k, rng))
     assert validate_algebra(alg, tol=1e-10).passed
     xs, ys = SHAPES[shape]
     X, Y = _points(rng, alg, xs), _points(rng, alg, ys)
     assert rel_max_abs(alg.bch(X, Y), term_walk_bch(alg, X, Y)) <= REL_TOL
+
+
+#: the BCH product against log(exp X exp Y) of the matrices, relative max-abs
+ORACLE_TOL = 1e-12
+
+
+@settings(max_examples=25, deadline=None)
+@given(k=st.integers(3, 5), seed=st.integers(0, 2**32 - 1))
+def test_bch_matches_matrix_oracle_in_a_random_basis(k, seed):
+    """The matrix exp/log oracle of `verify`, not only the term walk, on
+    strictly upper-triangular algebras in a random basis of each level."""
+    rng = np.random.default_rng(seed)
+    blocks = random_level_blocks(k, rng)
+    alg = strictly_upper(k, blocks)
+    idx, P = upper_basis(k, blocks)
+    rows, cols = np.array(idx).T
+
+    def to_matrix(x):
+        M = np.zeros((k, k))
+        M[rows, cols] = P @ x
+        return M
+
+    def to_coords(L):
+        return np.linalg.solve(P, L[rows, cols])
+
+    for x, y in rng.uniform(-1.0, 1.0, (8, 2, alg.dim)):
+        want = bch_matrix_oracle(to_matrix, to_coords, x, y)
+        assert rel_max_abs(alg.bch(x, y), want) <= ORACLE_TOL
 
 
 def test_program_shape():

@@ -2,19 +2,24 @@
 arithmetic, against the whole-array routes they replaced: the whole-grid
 Fourier-Wigner transform, the per-node adjoint Bargmann map, the per-row
 sampled quantizer, the broadcast X + Y of the BCH product and the broadcast
-(t - c) / sigma of the Gaussian.  The arithmetic per node is unchanged, so
-every value must be bitwise equal, for every block size and at the block
-edges: blocks of two nodes, a partial last block, a block larger than the
-grid and a grid of one z node.  The one exception is the Fourier-Wigner
-transform of moved phase points (the tau systems): its phase sum is
-regrouped axis by axis (`dual_phase_from_points`) where the reference takes
-one dense exp per z node, so it matches at `MOVED_TOL` relative."""
+(t - c) / sigma of the Gaussian.  Where the arithmetic per node is
+unchanged every value must be bitwise equal, for every block size and at
+the block edges: blocks of two nodes, a partial last block, a block larger
+than the grid and a grid of one z node.  Two routes regroup their sums and
+match at `MOVED_TOL` relative instead: the Fourier-Wigner transform of
+moved phase points (the tau systems), whose phase sum runs axis by axis
+(`dual_phase_from_points`) where the reference takes one dense exp per z
+node, and the adjoint Bargmann map, which sums the z nodes in central
+groups with the member phases folded into h.  That map must still be
+bitwise equal to itself across block budgets."""
 
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nilquant import coherent
 from nilquant.algebra import _components, _run_bch, abelian, engel, heisenberg
@@ -27,6 +32,9 @@ from nilquant.pseudodiff import op_quantize_samples
 from nilquant.tau import scaled_tau, symmetric_tau, tau_id, tau_system
 from nilquant.transforms import dual_phase_points
 
+from test_bch_program import strictly_upper
+from test_central_groups import random_algebra
+
 
 #: moved phase points against the dense per-node route, relative max-abs
 MOVED_TOL = 1e-13
@@ -37,10 +45,16 @@ def bits(a):
     return a.shape, a.dtype, a.tobytes()
 
 
+def assert_close(got, want):
+    """Within `MOVED_TOL` relative max-abs."""
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= MOVED_TOL * np.max(np.abs(want))
+
+
 def assert_matches_whole_grid(system, got, want):
     """Bitwise, but within `MOVED_TOL` relative where the points move."""
     if system.moves_points:
-        assert np.max(np.abs(got - want)) <= MOVED_TOL * np.max(np.abs(want))
+        assert_close(got, want)
     else:
         assert bits(got) == bits(want)
 
@@ -152,6 +166,20 @@ SYSTEMS = {
     "tau-scaled": lambda alg: tau_system(alg, scaled_tau(0.3)),
 }
 
+# the adjoint Bargmann map also runs where one group holds every z node
+# (abelian:2: 12 members in chunks) and on strictly upper-triangular 4 x 4
+# matrices, whose one central axis is index 2 of 6, not the last: the
+# groups there do not run in node order, so a wrong permutation of h's
+# rows fails
+ADJOINT_CASES = {
+    **CASES,
+    "abelian:2": (lambda: abelian(2), Grid((3.0, 3.5), (8, 7)), Grid((2.0, 1.5), (4, 3)),
+                  Grid((2.2, 1.9), (4, 5), dual=True)),
+    "ut4": (lambda: strictly_upper(4), Grid((2.0, 2.2, 1.8, 2.4, 2.0, 1.6), (2, 2, 3, 2, 2, 3)),
+            Grid((1.0, 0.8, 1.5, 0.9, 1.1, 0.7), (2, 1, 3, 2, 1, 2)),
+            Grid((1.4, 1.2, 1.5, 1.3, 1.1, 1.6), (3, 2, 2, 2, 3, 2), dual=True)),
+}
+
 # BLOCK_ENTRIES as a function of the entries one node takes: blocks of two
 # nodes (the smallest; 13 z nodes end in a block of three), of five (a
 # partial last block on every case above), and one block larger than the grid
@@ -163,7 +191,7 @@ def case(name, variant=0):
     """`variant` moves u's centre: no two tests compute equal results, so
     a block left unwritten cannot pass by holding the freed values of an
     earlier test."""
-    make_alg, y_grid, z_grid, dual_grid = CASES[name]
+    make_alg, y_grid, z_grid, dual_grid = ADJOINT_CASES[name]
     alg = make_alg()
     n = alg.dim
     u = gaussian(n, 0.9, np.linspace(0.3, -0.2, n) + 0.05 * variant, np.linspace(-0.4, 0.5, n))
@@ -206,10 +234,13 @@ def test_node_blocks_cover_in_order_without_a_lone_node(count, budget, monkeypat
 
 def test_node_blocks_at_the_benchmark_sizes():
     # 216 z nodes against 1000 y nodes, against 1000 y nodes x 49 dual rows
-    # (moved phase points), and against 100 targets x 49 dual rows
+    # (moved phase points), and against 100 targets x 49 dual rows; the 6
+    # members of a central group of the adjoint map, against 100 targets x
+    # 7 leading dual nodes, make one chunk
     assert [b.stop - b.start for b in node_blocks(216, 1000)] == [16] * 13 + [8]
     assert [b.stop - b.start for b in node_blocks(216, 1000 * 49)] == [2] * 108
     assert {b.stop - b.start for b in node_blocks(216, 100 * 49)} == {3}
+    assert [b.stop - b.start for b in node_blocks(6, 100 * 7)] == [6]
 
 
 # -- BCH and the Gaussian ------------------------------------------------------
@@ -281,7 +312,7 @@ def test_dual_phase_points_without_points_or_rows_is_empty(name):
     assert dual_phase_points(h[:0], np.zeros((0, 4, n)), dual, -1).shape == (0, 4)
 
 
-@pytest.mark.parametrize("name", ["abelian:1", "heisenberg:1"])
+@pytest.mark.parametrize("name", ["abelian:1", "heisenberg:1", "abelian:2", "ut4"])
 def test_bargmann_adjoint_at_no_targets_is_empty(name):
     alg, y_grid, xi, _, _ = case(name)
     got = bargmann_adjoint(alg, make_window(alg, y_grid), random_xi(xi, 3),
@@ -317,17 +348,73 @@ def test_wigner_on_one_z_node(system):
                                                     y_grid, xi))
 
 
+def adjoint_budget(xi, targets):
+    """Entries of the adjoint map's Khatri-Rao product per member of a group."""
+    return len(targets) * xi.dual_grid.counts[0]
+
+
 @pytest.mark.parametrize("block", BLOCKS)
-@pytest.mark.parametrize("name", CASES)
+@pytest.mark.parametrize("name", ADJOINT_CASES)
 def test_bargmann_adjoint_is_bitwise_per_node(name, block, monkeypatch):
+    """Named for the route it replaced: the central groups regroup the sum,
+    so the map matches the per-node reference within `MOVED_TOL`."""
     alg, y_grid, xi, _, _ = case(name)
     w = make_window(alg, y_grid)
     targets = y_grid.nodes()[::7]
-    per_node = len(targets) * (xi.dual_grid.size // xi.dual_grid.counts[-1])
-    monkeypatch.setattr(coherent, "BLOCK_ENTRIES", BLOCKS[block](per_node))
+    monkeypatch.setattr(coherent, "BLOCK_ENTRIES", BLOCKS[block](adjoint_budget(xi, targets)))
     h = random_xi(xi, variant("plain", block))
     got = bargmann_adjoint(alg, w, h, targets)
-    assert bits(got) == bits(ref_bargmann_adjoint(alg, ref_window(w), h, targets))
+    assert_close(got, ref_bargmann_adjoint(alg, ref_window(w), h, targets))
+
+
+@pytest.mark.parametrize("name", ADJOINT_CASES)
+def test_bargmann_adjoint_is_bitwise_across_block_budgets(name, monkeypatch):
+    alg, y_grid, xi, _, _ = case(name)
+    w = make_window(alg, y_grid)
+    targets = y_grid.nodes()[::3]
+    h = random_xi(xi, 11)
+    given = bits(h.values)
+    got = {}
+    for block, budget in BLOCKS.items():
+        monkeypatch.setattr(coherent, "BLOCK_ENTRIES", budget(adjoint_budget(xi, targets)))
+        got[block] = bits(bargmann_adjoint(alg, w, h, targets))
+    assert got["pairs"] == got["five"] == got["whole"]
+    assert bits(h.values) == given          # the member phases fold into copies
+
+
+@pytest.mark.parametrize("name", ADJOINT_CASES)
+def test_bargmann_adjoint_on_one_z_node(name):
+    alg, y_grid, xi, _, _ = case(name)
+    n = alg.dim
+    one = XiGrid(Grid((1.0,) * n, (1,) * n), xi.dual_grid)
+    w = make_window(alg, y_grid)
+    targets = y_grid.nodes()[::5]
+    h = random_xi(one, 12)
+    got = bargmann_adjoint(alg, w, h, targets)
+    assert_close(got, ref_bargmann_adjoint(alg, ref_window(w), h, targets))
+
+
+@settings(max_examples=20, deadline=None)
+@given(k=st.sampled_from([3, 4]), seed=st.integers(0, 2**32 - 1),
+       block=st.sampled_from(list(BLOCKS)))
+def test_bargmann_adjoint_on_random_algebras(k, seed, block):
+    """Random level bases of the strictly upper-triangular algebras: the
+    central and first-layer axes are whichever the basis gives."""
+    alg = random_algebra(k, seed)
+    n = alg.dim
+    rng = np.random.default_rng(seed)
+    y_grid = Grid.box(n, 2.0, 2)                       # pi / h = 1.57
+    central = alg.central_axes
+    z_grid = Grid(tuple(rng.uniform(0.5, 1.5, n)),
+                  tuple(3 if a in central else 2 if a < 2 else 1 for a in range(n)))
+    xi = XiGrid(z_grid, Grid(tuple(rng.uniform(0.8, 1.5, n)), (2,) * n, dual=True))
+    w = make_window(alg, y_grid)
+    targets = rng.uniform(-2.0, 2.0, (9, n))
+    h = random_xi(xi, seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(coherent, "BLOCK_ENTRIES", BLOCKS[block](adjoint_budget(xi, targets)))
+        got = bargmann_adjoint(alg, w, h, targets)
+    assert_close(got, ref_bargmann_adjoint(alg, ref_window(w), h, targets))
 
 
 @pytest.mark.parametrize("block", BLOCKS)

@@ -20,20 +20,14 @@ from nilquant.magnetic import VectorPotential, mag_berezin, magnetic_system
 from nilquant.symbols import GaussianSymbol
 from nilquant.tau import TauMap, berezin_tau, scaled_tau, tau_system
 
-from test_bch_program import strictly_upper
+from test_bch_program import random_level_blocks, strictly_upper
 from test_kernel_assembly import GROUP_TOL, per_node_split, relative_gap
 
 
 def random_algebra(k, seed):
     """A strictly upper-triangular k x k algebra in a random basis of each
     level, as in the BCH property (`test_bch_program`)."""
-    rng = np.random.default_rng(seed)
-    blocks = []
-    for level in range(1, k):
-        size = k - level
-        q, _ = np.linalg.qr(rng.normal(size=(size, size)))
-        blocks.append(q * rng.uniform(0.5, 2.0, size))
-    return strictly_upper(k, blocks)
+    return strictly_upper(k, random_level_blocks(k, np.random.default_rng(seed)))
 
 
 def symbol(n, rng):

@@ -11,7 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from nilquant import berezin
+from nilquant import berezin, coherent
 from nilquant.algebra import abelian, heisenberg
 from nilquant.berezin import (CHUNK_ENTRIES, BerezinConfig, _row_blocks, assemble_kernel,
                               berezin_kernel_points, berezin_matrix)
@@ -401,6 +401,43 @@ def test_trivial_tau_and_zero_field_stay_bitwise(group):
 @pytest.mark.parametrize("group", sorted(GROUPS))
 def test_trivial_tau_and_zero_field_stay_bitwise_on_real_symbol(group):
     assert_reductions_bitwise(config(group, "off_centre", real_off_centre_symbol))
+
+
+# -- the magnetic dressing over node blocks ---------------------------------------
+
+def per_node_row(system, window, targets):
+    """The row data of `berezin._kernel_row` with the dressing taken one
+    node at a time, as before it ran over node blocks."""
+    alg = system.alg
+
+    def row(z):
+        zx = alg.bch(z, targets)
+        g = window(zx)
+        phase = np.stack([system.dressing(p, targets)
+                          for p in zx.reshape((-1,) + zx.shape[-2:])])
+        return system.phase_points(z, zx), g * np.exp(-1j * phase.reshape(g.shape))
+    return row
+
+
+DRESSINGS = {
+    "linear3": linear3_potential(0.6),
+    "linear3-degree-unknown": VectorPotential(linear3_potential(0.6).fn, degree=None),
+    "quadratic": VectorPotential(lambda p: 0.2 * p[..., ::-1] ** 2 - 0.3 * p, degree=2),
+}
+
+
+@pytest.mark.parametrize("budget", [1, 5000, 10 ** 9])
+@pytest.mark.parametrize("potential", DRESSINGS)
+def test_magnetic_dressing_blocks_are_bitwise_per_node(potential, budget, monkeypatch):
+    """Blocks of two nodes, of a few, and one block of every node in a
+    batch of row data give the per-node kernel bit for bit."""
+    cfg = config("heisenberg:1", "off_centre")
+    A = DRESSINGS[potential]
+    with monkeypatch.context() as m:
+        m.setattr(berezin, "_kernel_row", per_node_row)
+        want = mag_berezin(cfg, A).kernel
+    monkeypatch.setattr(coherent, "BLOCK_ENTRIES", budget)
+    assert mag_berezin(cfg, A).kernel.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("symbol", [
