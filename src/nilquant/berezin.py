@@ -50,7 +50,8 @@ the kernel is exactly Hermitian.
 
 The tau-ordered and magnetic quantizations use the same assembly with their
 Weyl system's phase points in place of log(zx) and its dressing on the
-window (`berezin_quantize`; `coherent.WeylSystem`).  Point masses map
+window, both from the system's `coherent.WeylSystem.coherent_rows`
+(`berezin_quantize`).  Point masses map
 straight to projectors, and symbols constant in the dual variable map to
 multiplication operators; neither is pushed through a sampled delta.
 """
@@ -59,6 +60,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -91,15 +93,17 @@ class BerezinConfig:
         g = self.xi_grid.g_grid
         return g.nodes(), g.weight
 
+    def z_group_axes(self, system: WeylSystem) -> tuple[int, ...]:
+        """The axes the members of a z group differ in: the algebra's central
+        axes (`LieAlgebra.central_axes`) when the system's phase points shift
+        with the centre, else none, so the groups are single nodes."""
+        return self.algebra.central_axes if system.shifts_with_centre else ()
+
     def z_groups(self, system: WeylSystem):
         """The z-quadrature as (nodes (groups, members, n), weight) for
-        `assemble_kernel`: a group's members differ only in the algebra's
-        central coordinates (`LieAlgebra.central_axes`) when the system's
-        phase points shift with the centre, else the groups are single
-        nodes."""
+        `assemble_kernel`, grouped over `z_group_axes`."""
         g = self.xi_grid.g_grid
-        axes = self.algebra.central_axes if system.shifts_with_centre else ()
-        return g.grouped_nodes(axes), g.weight
+        return g.grouped_nodes(self.z_group_axes(system)), g.weight
 
 
 # ---------------------------------------------------------------------------
@@ -330,38 +334,16 @@ def assemble_kernel(symbol: XiSymbol, z_nodes: np.ndarray, z_weight: float,
     return K
 
 
-def _kernel_row(system: WeylSystem, window: Window, targets: np.ndarray):
-    """row(z) -> (P(z, zx), omega(zx) conj(G(zx, x))) at the targets x: the
-    phase points and dressed window values of the coherent states omega_z.
-    A dressing runs over blocks of the nodes z (`coherent.node_blocks`),
-    sized by the targets times the points it evaluates per pair
-    (`WeylSystem.dressing_points`), so a potential's circulation points
-    stay in cache whatever its rule."""
-    alg = system.alg
-
-    def row(z):
-        zx = alg.bch(z, targets)
-        g = window(zx)
-        if system.dressed:
-            nodes = zx.reshape((-1,) + zx.shape[-2:])
-            phase = np.empty(nodes.shape[:-1])
-            for block in node_blocks(len(nodes), system.dressing_points * len(targets)):
-                phase[block] = system.dressing(nodes[block], targets)
-            g = g * np.exp(-1j * phase.reshape(g.shape))
-        return system.phase_points(z, zx), g
-    return row
-
-
 def berezin_kernel_points(cfg: BerezinConfig, x_points, y_points=None,
                           z_quadrature=None) -> np.ndarray:
     """Kernel of Ber(f) at arbitrary analytic points (no interpolation)."""
     plain = WeylSystem(cfg.algebra)
     x_points = np.asarray(x_points, float)
     z_nodes, z_w = z_quadrature or cfg.z_groups(plain)
-    row = _kernel_row(plain, cfg.window, x_points)
+    row = partial(plain.coherent_rows, cfg.window, x=x_points)
     col = None
     if y_points is not None and y_points is not x_points:
-        col = _kernel_row(plain, cfg.window, np.asarray(y_points, float))
+        col = partial(plain.coherent_rows, cfg.window, x=np.asarray(y_points, float))
     return assemble_kernel(cfg.symbol, z_nodes, z_w, row, col)
 
 
@@ -392,7 +374,8 @@ def berezin_quantize(cfg: BerezinConfig, system: WeylSystem,
     """Ber(f) of a Weyl system, as kernel samples on cfg.g_grid.
 
     The kernel integrand is hat2(z, P(z,zx) - P(z,zy)) g(z,x) conj(g(z,y))
-    with g(z, x) = omega(zx) conj(G(zx, x)); for f >= 0 it stays a positive
+    with g(z, x) = omega(zx) conj(G(zx, x)), the system's `coherent_rows`
+    bound to the window and the grid nodes; for f >= 0 it stays a positive
     combination of rank-one projectors.  Special paths, the same for every
     system: a point mass returns the rank-one projector onto the system's
     coherent state at its point; a symbol constant in the dual variable
@@ -416,7 +399,7 @@ def berezin_quantize(cfg: BerezinConfig, system: WeylSystem,
         raise SymbolError("the pure Weyl phase is not Berezin-quantizable on a grid; "
                           "use the pseudo-differential quantizer")
     z_nodes, z_w = z_quadrature or cfg.z_groups(system)
-    row = _kernel_row(system, cfg.window, cfg.g_grid.nodes())
+    row = partial(system.coherent_rows, cfg.window, x=cfg.g_grid.nodes())
     return OperatorMatrix(cfg.g_grid, assemble_kernel(symbol, z_nodes, z_w, row))
 
 

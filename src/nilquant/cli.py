@@ -83,13 +83,11 @@ def _build_operator(cfg: ExperimentConfig):
 
 def _z_quadrature(cfg: ExperimentConfig) -> dict:
     """The z nodes of a Berezin kernel and the groups they are summed in:
-    nodes that differ only in the central coordinates the system shifts
-    with (`BerezinConfig.z_groups`)."""
-    system = _weyl_system(cfg)
-    groups = _berezin_config(cfg).z_groups(system)[0]
-    axes = cfg.algebra.central_axes if system.shifts_with_centre else ()
+    nodes that differ only on the axes of `BerezinConfig.z_group_axes`."""
+    system, berezin_cfg = _weyl_system(cfg), _berezin_config(cfg)
+    groups = berezin_cfg.z_groups(system)[0]
     return {"nodes": groups.shape[0] * groups.shape[1], "groups": groups.shape[0],
-            "central_axes": list(axes)}
+            "central_axes": list(berezin_cfg.z_group_axes(system))}
 
 
 def cmd_quantize(args) -> int:

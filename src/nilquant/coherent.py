@@ -57,7 +57,9 @@ variables, then the separable phase) and a literal per-node quadrature;
 they must agree to reassociation error.
 
 `coherent_state_bank` returns every coherent state at every target, so it
-does build the dense (|Xi| x targets) matrix, one complex exp per entry.
+does build the dense (|Xi| x targets) matrix, one complex exp per entry,
+over blocks of z nodes: one `WeylSystem.coherent_rows` call and one stacked
+phase exp per block, bitwise the same for any block size.
 The covariant symbols ask for the same few banks again and again (one per
 window, Xi grid and operator grid), so a bank on a target *grid* is kept in
 a bounded memo: keyed on the algebra and window objects, the Xi grid and the
@@ -162,8 +164,9 @@ def make_window(alg: LieAlgebra, grid: Grid, sigma: float = 1.0, center=None) ->
 #: entries of their Khatri-Rao factor), entries of the Khatri-Rao product
 #: of a member chunk in `bargmann_adjoint` (D_0 times the targets per
 #: member of a central group), of the first dual-side product per kernel
-#: row in `pseudodiff.op_quantize_samples`, and (node, target) pairs times
-#: the dressing's points in `berezin`'s kernel rows.  About 16 z nodes against
+#: row in `pseudodiff.op_quantize_samples`, (node, target) pairs times the
+#: dressing's points in `WeylSystem.dress`, and (node, target, zeta) entries
+#: in `coherent_state_bank`.  About 16 z nodes against
 #: 1000 y nodes: each block's arrays stay in cache, and reused memory spares
 #: the page faults that fresh whole-grid arrays cost.
 BLOCK_ENTRIES = 1 << 14
@@ -200,9 +203,12 @@ class WeylSystem:
     and the kinds differ only in the phase points P and the unit dressing
     G = e^{i theta}.  The plain system has P(z, y) = y and G = 1;
     `tau.TauWeylSystem` moves the points (`moves_points`) and
-    `magnetic.MagneticWeylSystem` dresses them (`dressed`).  The shift, the
-    coherent states, the Fourier-Wigner route and the Berezin kernel row
-    (`berezin.berezin_quantize`) are written once against these two hooks.
+    `magnetic.MagneticWeylSystem` dresses them (`dressed`).  The system
+    owns both: `dress` is the one route that applies G, and `coherent_rows`
+    the one that builds the coherent-state values omega(zx) conj(G(zx, x)),
+    so the shift, the coherent states and their banks, the Fourier-Wigner
+    route and the Berezin kernel rows (`berezin.berezin_quantize`) are
+    written once against these two hooks.
 
     `shifts_with_centre` says that a central move c of z moves the points
     P(z, zx) of every x by one common vector, as c moves zx.  The Berezin
@@ -222,8 +228,38 @@ class WeylSystem:
 
     def dressing(self, y, back):
         """theta with G(y, z^{-1} y) = e^{i theta}, given y and back = z^{-1} y;
-        only called when `dressed`."""
+        only called by `dress`."""
         raise NotImplementedError
+
+    def dress(self, values, x, back, sign):
+        """values * e^{sign i theta(x, back)}; `values` itself when the system
+        does not dress.  The only caller of `dressing`.
+
+        x and back broadcast against values + (n,).  theta runs over blocks
+        of the leading nodes (all axes of values but the last), at most
+        BLOCK_ENTRIES // (dressing_points * P) nodes against the last axis's
+        P points, so the dressing's points stay in cache.  A block may hold
+        one node: theta takes no matrix product across nodes, so every value
+        is bitwise the same for any block size.
+        """
+        if not self.dressed:
+            return values
+        shape = np.shape(values)
+        points = shape[-1:] or (1,)
+        x, back = (np.broadcast_to(p, shape + p.shape[-1:]).reshape((-1,) + points + p.shape[-1:])
+                   for p in (np.asarray(x, float), np.asarray(back, float)))
+        theta = np.empty(x.shape[:-1])
+        size = max(1, BLOCK_ENTRIES // (self.dressing_points * points[0]))
+        for s in range(0, len(theta), size):
+            theta[s:s + size] = self.dressing(x[s:s + size], back[s:s + size])
+        return values * np.exp((sign * 1j) * theta.reshape(shape))
+
+    def coherent_rows(self, u, z, x):
+        """(P(z, zx), u(zx) conj(G(zx, x))) at the points x: the phase points
+        and the dressed values of the coherent states of u at the nodes z,
+        which broadcast against x as in `LieAlgebra.bch`."""
+        zx = self.alg.bch(z, x)
+        return self.phase_points(z, zx), self.dress(u(zx), zx, x, -1)
 
     def shift(self, p: PhasePoint, u: Field) -> Field:
         """W(z,zeta) u; exact on analytic fields, unitary in quadrature norm."""
@@ -233,32 +269,27 @@ class WeylSystem:
         def fn(x):
             back = alg.bch(zinv, x)
             out = np.exp(1j * np.einsum("...i,i->...", self.phase_points(z, x), zeta)) * u(back)
-            if self.dressed:
-                out = out * np.exp(1j * self.dressing(x, back))
-            return out
+            return self.dress(out, x, back, 1)
 
         return Field(fn, alg.dim, u.domain, u.interpolated)
 
     def adjoint_shift(self, p: PhasePoint, u: Field) -> Field:
         """W(z,zeta)* u; inverts `shift` pointwise.  On the window it is the
         coherent state omega_{z,zeta}."""
-        alg, z, zeta = self.alg, p.zv, p.zetav
+        z, zeta = p.zv, p.zetav
 
         def fn(y):
-            zy = alg.bch(z, y)
-            out = np.exp(-1j * np.einsum("...i,i->...", self.phase_points(z, zy), zeta)) * u(zy)
-            if self.dressed:
-                out = out * np.exp(-1j * self.dressing(zy, y))
-            return out
+            points, values = self.coherent_rows(u, z, y)
+            return np.exp(-1j * np.einsum("...i,i->...", points, zeta)) * values
 
-        return Field(fn, alg.dim, u.domain, u.interpolated)
+        return Field(fn, self.alg.dim, u.domain, u.interpolated)
 
     def wigner(self, u: Field, v: Field, g_grid: Grid, xi_grid: XiGrid) -> XiSamples:
         """<W(z, zeta) u, v> sampled on a XiGrid; y-quadrature over `g_grid`.
 
         Runs over blocks of z nodes (`node_blocks`), each written into the
         preallocated result: the change of variables u(z^{-1}y) conj(v(y)),
-        dressed node by node where the system dresses, then the phase sum,
+        dressed by one `dress` call where the system dresses, then the phase sum,
         applied axis by axis.  When the phase points are the y grid itself
         the sum is `dual_phase_grid` (one small cached factor per axis) and a
         block holds `BLOCK_ENTRIES` (z, y) pairs.  Moved points
@@ -279,10 +310,7 @@ class WeylSystem:
         per_node = len(y) * (dual.size // dual.counts[0] if self.moves_points else 1)
         for block in node_blocks(len(z_nodes), per_node):
             back = self.alg.bch(zinv[block, None, :], y[None, :, :])
-            g_zy = u(back) * vy[None, :]
-            if self.dressed:
-                for row, b in zip(g_zy, back):
-                    row *= np.exp(1j * self.dressing(y, b))
+            g_zy = self.dress(u(back) * vy[None, :], y, back, 1)
             if self.moves_points:
                 points = self.phase_points(z_nodes[block, None, :], y)
                 sums = dual_phase_from_points(g_zy, points, dual, 1)
@@ -394,14 +422,14 @@ def coherent_state_bank(alg: LieAlgebra, w: Window, xi_grid: XiGrid,
 
 def _build_bank(alg: LieAlgebra, w: Window, xi_grid: XiGrid,
                 targets: np.ndarray) -> np.ndarray:
+    """One `coherent_rows` call and one stacked phase exp per block of z
+    nodes (`node_blocks`, sized by a node's targets x zeta entries)."""
     z_nodes, zeta_nodes = xi_grid.node_pairs()
-    out = np.empty((len(z_nodes) * len(zeta_nodes), len(targets)), dtype=complex)
-    for i, z in enumerate(z_nodes):
-        zx = alg.bch(z, targets)
-        base = w(zx)
-        phases = np.exp(-1j * (zx @ zeta_nodes.T))
-        out[i * len(zeta_nodes):(i + 1) * len(zeta_nodes), :] = (base[:, None] * phases).T
-    return out
+    out = np.empty((len(z_nodes), len(zeta_nodes), len(targets)), dtype=complex)
+    for block in node_blocks(len(z_nodes), len(zeta_nodes) * len(targets)):
+        points, base = WeylSystem(alg).coherent_rows(w, z_nodes[block, None, :], targets)
+        out[block] = np.swapaxes(base[..., None] * np.exp(-1j * (points @ zeta_nodes.T)), -1, -2)
+    return out.reshape(len(z_nodes) * len(zeta_nodes), len(targets))
 
 
 def projector(alg: LieAlgebra, w: Window, p: PhasePoint):

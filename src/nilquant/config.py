@@ -4,7 +4,9 @@ A config names a group (preset or inline structure constants), grids, a
 window, a symbol and a quantization scheme.  Validation is all-at-once: every
 violation is collected and reported together.  Inline structure constants are
 raw tensor entries and are *not* symmetrized — c[1][2][3] = 1 without its
-antisymmetric partner is an error, not a shorthand.
+antisymmetric partner is an error, not a shorthand.  Their dimension, step
+and 1-based indices are JSON integers (a float or a bool is refused, not
+truncated), and their values are finite.
 
 Cost guards reject grids whose phase-space node count or kernel sample count
 would be quadratically expensive, unless "allow_large_grids" is set.  They
@@ -15,6 +17,8 @@ whatever grid they are given.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,12 +67,25 @@ class ExperimentConfig:
     raw: dict = field(default_factory=dict)
 
 
-def _default_grid_params(n: int, for_xi: bool):
-    if n == 1:
-        return 10.0, 128
-    if n == 3:
-        return 4.0, 9 if for_xi else 11
-    return 6.0, 24 if for_xi else 24
+#: Desk grids by group dimension: (half-width, Xi nodes, operator nodes)
+#: per axis, the defaults of a config and of the `verify` set-ups; any other
+#: dimension takes the entry of 2.
+DESK_GRIDS = {1: (10.0, 128, 128), 2: (6.0, 24, 24), 3: (4.0, 9, 11)}
+
+
+def _is_int(value) -> bool:
+    """An integer as JSON writes it: not a float (2.7 or 2.0) nor a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_bracket(entry, dim: int) -> bool:
+    """[i, j, k, value]: 1-based indices i, j, k <= dim and a finite real value."""
+    if not isinstance(entry, (list, tuple)) or len(entry) != 4:
+        return False
+    *indices, val = entry
+    return (all(_is_int(i) and 1 <= i <= dim for i in indices)
+            and isinstance(val, numbers.Real) and not isinstance(val, bool)
+            and math.isfinite(val))
 
 
 def _build_algebra(spec, problems) -> LieAlgebra | None:
@@ -86,11 +103,10 @@ def _build_algebra(spec, problems) -> LieAlgebra | None:
     unknown = set(spec) - {"dim", "step", "brackets"}
     if unknown:
         problems.append(f"unknown group keys: {sorted(unknown)}")
-    try:
-        dim = int(spec["dim"])
-        step = int(spec["step"])
-    except (KeyError, TypeError, ValueError):
-        problems.append("inline group needs integer 'dim' and 'step'")
+    dim, step = spec.get("dim"), spec.get("step")
+    if not (_is_int(dim) and _is_int(step) and dim >= 1 and step >= 1):
+        problems.append(f"inline group needs integer 'dim' and 'step' >= 1, "
+                        f"got dim={dim!r}, step={step!r}")
         return None
     if step > MAX_BCH_DEPTH:
         problems.append(f"step {step} exceeds the supported BCH depth {MAX_BCH_DEPTH}")
@@ -99,14 +115,15 @@ def _build_algebra(spec, problems) -> LieAlgebra | None:
     if not isinstance(brackets, list):
         problems.append("group 'brackets' must be a list of [i, j, k, value] entries")
         return None
+    bad = [entry for entry in brackets if not _is_bracket(entry, dim)]
+    for entry in bad:
+        problems.append(f"bad bracket entry {entry!r} (want [i, j, k, value]: integer "
+                        f"indices from 1 to {dim} and a finite value)")
+    if bad:
+        return None
     c = np.zeros((dim, dim, dim))
-    for entry in brackets:
-        try:
-            i, j, k, val = entry
-            c[int(i) - 1, int(j) - 1, int(k) - 1] = float(val)
-        except (TypeError, ValueError, IndexError):
-            problems.append(f"bad bracket entry {entry!r} (want [i, j, k, value], 1-based)")
-            return None
+    for i, j, k, val in brackets:
+        c[i - 1, j - 1, k - 1] = val
     alg = LieAlgebra(dim, c, step, name="custom")
     rep = validate_algebra(alg)
     if rep.antisymmetry_residual > 1e-12:
@@ -198,12 +215,13 @@ def parse_config(text: str | dict) -> ExperimentConfig:
         raise ConfigError(problems)
     n = alg.dim
 
-    g_grid = _build_grid(raw.get("grid"), n, problems, _default_grid_params(n, False))
+    half_width, xi_count, op_count = DESK_GRIDS.get(n, DESK_GRIDS[2])
+    g_grid = _build_grid(raw.get("grid"), n, problems, (half_width, op_count))
     xi_spec = raw.get("xi_grid") or {}
     if not isinstance(xi_spec, dict):
         problems.append("xi_grid must be an object")
         xi_spec = {}
-    xi_default = _default_grid_params(n, True)
+    xi_default = half_width, xi_count
     xi_g = _build_grid(xi_spec.get("g"), n, problems, xi_default, label="xi_grid.g")
     xi_d = _build_grid(xi_spec.get("dual", raw.get("dual_grid")), n, problems,
                        xi_default, dual=True, label="xi_grid.dual")

@@ -296,8 +296,12 @@ class XOnlySymbol(XiSymbol):
 class XiOnlySymbol(XiSymbol):
     """f = 1 (x) psi: depends only on the dual variable.
 
-    When psi is a GaussianFactor the partial transform is closed-form;
-    otherwise supply `psi_field` and quantizers fall back to quadrature.
+    When psi is a GaussianFactor the partial transform is closed-form.
+    Otherwise supply `psi_field`: `pseudodiff.op_quantize` then falls back
+    to quadrature over its dual grid, and raises `SymbolError` without one;
+    the Berezin kernels raise `SymbolError`, as there is no closed-form pair
+    transform (`berezin.conv_example_kernel` takes such a profile as a
+    Field instead).
     """
 
     psi: GaussianFactor | None

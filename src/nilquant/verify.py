@@ -20,6 +20,7 @@ from .berezin import (BerezinConfig, berezin_matrix, berezin_weak, conv_example_
                       covariance_residual_L, multiplier_field, schatten_bound_check,
                       symbol_integral)
 from .ccr import CcrContext, verify_ccr
+from .config import DESK_GRIDS
 from .coherent import (PhasePoint, bargmann, bargmann_adjoint, fourier_wigner,
                        make_window, projector, reproducing_apply, weyl,
                        weyl_compose_factor)
@@ -44,23 +45,26 @@ from .transforms import inner
 # Shared setups
 # ---------------------------------------------------------------------------
 
-def line_setup(L: float = 10.0, N: int = 128):
-    """Abelian n=1 desk defaults."""
+def line_setup(L: float = DESK_GRIDS[1][0], N: int = DESK_GRIDS[1][1]):
+    """Abelian n=1 desk defaults (`config.DESK_GRIDS`)."""
     alg = abelian(1)
     grid = Grid.box(1, L, N)
     xi = XiGrid.box(1, L, N)
     return alg, grid, xi, make_window(alg, grid)
 
 
-def plane_setup(L: float = 6.0, N: int = 24):
+def plane_setup(L: float = DESK_GRIDS[2][0], N: int = DESK_GRIDS[2][1]):
+    """Abelian n=2 desk defaults (`config.DESK_GRIDS`)."""
     alg = abelian(2)
     grid = Grid.box(2, L, N)
     xi = XiGrid.box(2, L, N)
     return alg, grid, xi, make_window(alg, grid)
 
 
-def heisenberg_setup(L: float = 4.0, N_xi: int = 9, N_op: int = 11):
-    """H1 desk defaults: N_xi per axis for Xi quadrature, N_op for kernels."""
+def heisenberg_setup(L: float = DESK_GRIDS[3][0], N_xi: int = DESK_GRIDS[3][1],
+                     N_op: int = DESK_GRIDS[3][2]):
+    """H1 desk defaults (`config.DESK_GRIDS`): N_xi per axis for Xi
+    quadrature, N_op for kernels."""
     alg = heisenberg()
     grid = Grid.box(3, L, N_op)
     xi = XiGrid.box(3, L, N_xi)

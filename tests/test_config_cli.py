@@ -3,11 +3,12 @@
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
 
-from nilquant import operators
+from nilquant import operators, verify
 from nilquant.cli import main
 from nilquant.config import ConfigError, parse_config
 from nilquant.exports import field_to_csv, load_matrix, matrix_to_csv, save_matrix
@@ -36,6 +37,16 @@ def test_parse_minimal_defaults():
     assert cfg.g_grid.counts == (11, 11, 11)
     assert cfg.xi_grid.g_grid.counts == (9, 9, 9)
     assert cfg.scheme == "berezin"
+
+
+@pytest.mark.parametrize("group, setup", [("abelian:1", "line_setup"),
+                                          ("abelian:2", "plane_setup"),
+                                          ("heisenberg:1", "heisenberg_setup")])
+def test_config_defaults_are_the_desk_setups(group, setup):
+    """Both read `config.DESK_GRIDS`."""
+    cfg = parse_config({"group": group})
+    _, grid, xi, _ = getattr(verify, setup)()
+    assert (cfg.g_grid, cfg.xi_grid) == (grid, xi)
 
 
 def test_parse_preset_group():
@@ -79,6 +90,68 @@ def test_parse_rejects_wrong_declared_step():
     with pytest.raises(ConfigError, match="certifies"):
         parse_config({"group": {"dim": 3, "step": 1,
                                 "brackets": [[1, 2, 3, 1.0], [2, 1, 3, -1.0]]}})
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("group, problem", [
+    # brackets are 1-based: index 0 used to wrap to the last axis, [e3, e1] = e2
+    ({"dim": 3, "step": 2, "brackets": [[0, 1, 2, 1], [1, 0, 2, -1]]},
+     "bad bracket entry [0, 1, 2, 1]"),
+    ({"dim": 3, "step": 2, "brackets": [[1, 2, 4, 1], [2, 1, 4, -1]]},
+     "bad bracket entry [1, 2, 4, 1]"),
+    # fractional and boolean indices used to be truncated by int()
+    ({"dim": 3, "step": 2, "brackets": [[1.5, 2, 3, 1], [2, 1, 3, -1]]},
+     "bad bracket entry [1.5, 2, 3, 1]"),
+    ({"dim": 3, "step": 2, "brackets": [[True, 2, 3, 1], [2, 1, 3, -1]]},
+     "bad bracket entry [True, 2, 3, 1]"),
+    # non-finite values used to crash the step certificate's SVD
+    ({"dim": 3, "step": 2, "brackets": [[1, 2, 3, NAN], [2, 1, 3, -1]]},
+     "bad bracket entry [1, 2, 3, nan]"),
+    ({"dim": 3, "step": 2, "brackets": [[1, 2, 3, INF], [2, 1, 3, -1]]},
+     "bad bracket entry [1, 2, 3, inf]"),
+    ({"dim": 3, "step": 2, "brackets": [[1, 2, 3, True], [2, 1, 3, -1]]},
+     "bad bracket entry [1, 2, 3, True]"),
+    ({"dim": 3, "step": 2, "brackets": [[1, 2, 3]]}, "bad bracket entry [1, 2, 3]"),
+    ({"dim": 2.7, "step": 1}, "integer 'dim' and 'step' >= 1, got dim=2.7, step=1"),
+    ({"dim": True, "step": 1}, "got dim=True"),
+    ({"dim": "3", "step": 2}, "got dim='3'"),
+    ({"dim": 2, "step": 1.5}, "got dim=2, step=1.5"),
+    ({"dim": 2, "step": True}, "step=True"),
+    ({"dim": 2, "step": 0}, "step=0"),
+    # a negative dimension used to escape as numpy's bare ValueError
+    ({"dim": -1, "step": 1}, "got dim=-1"),
+    ({"dim": 0, "step": 1}, "got dim=0"),
+    ({"step": 2}, "got dim=None"),
+])
+def test_parse_rejects_bad_inline_groups(group, problem):
+    with pytest.raises(ConfigError, match=re.escape(problem)):
+        parse_config({"group": group})
+
+
+def test_inline_group_problems_are_collected():
+    with pytest.raises(ConfigError) as exc:
+        parse_config({"grupo": 1, "group": {"dim": -1, "step": 1, "basis": []}})
+    unknown, group_keys, dim = exc.value.problems
+    assert unknown.startswith("unknown keys") and group_keys.startswith("unknown group keys")
+    assert dim.endswith("got dim=-1, step=1")
+    with pytest.raises(ConfigError) as exc:     # every bad entry, not the first alone
+        parse_config({"group": {"dim": 3, "step": 2,
+                                "brackets": [[0, 1, 2, 1], [1, 2, 3, 1], [2, 1, 3, NAN]]}})
+    assert len(exc.value.problems) == 2
+
+
+@pytest.mark.parametrize("brackets", [[[0, 1, 2, 1], [1, 0, 2, -1]],
+                                      [[1, 2, 3, NAN], [2, 1, 3, -1]],
+                                      [[1, 2, 3, INF], [2, 1, 3, -INF]]])
+def test_cli_bad_inline_group_exits_2(tmp_path, capsys, brackets):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"group": {"dim": 3, "step": 2, "brackets": brackets}}))
+    assert main(["algebra", "validate", "--config", str(path)]) == 2
+    assert "bad bracket entry" in capsys.readouterr().err
+    assert main(["quantize", "--config", str(path), "--out", str(tmp_path / "q")]) == 2
+    assert not (tmp_path / "q").exists()
 
 
 def test_cost_guard_on_phase_space_grid():

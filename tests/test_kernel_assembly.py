@@ -18,7 +18,8 @@ from nilquant.berezin import (CHUNK_ENTRIES, BerezinConfig, _row_blocks, assembl
 from nilquant.coherent import Window, WeylSystem, make_window
 from nilquant.fields import Field, gaussian
 from nilquant.grids import Grid, XiGrid
-from nilquant.magnetic import VectorPotential, linear3_potential, mag_berezin, zero_potential
+from nilquant.magnetic import (MagneticWeylSystem, VectorPotential, linear3_potential,
+                               mag_berezin, zero_potential)
 from nilquant.symbols import (DeltaSymbol, GaussianSymbol, PhaseSymbol, SymbolError,
                               TranslatedSymbol, XOnlySymbol, XiOnlySymbol, XiSymbol)
 from nilquant.tau import berezin_tau, symmetric_tau, tau_e
@@ -405,18 +406,13 @@ def test_trivial_tau_and_zero_field_stay_bitwise_on_real_symbol(group):
 
 # -- the magnetic dressing over node blocks ---------------------------------------
 
-def per_node_row(system, window, targets):
-    """The row data of `berezin._kernel_row` with the dressing taken one
-    node at a time, as before it ran over node blocks."""
-    alg = system.alg
-
-    def row(z):
-        zx = alg.bch(z, targets)
-        g = window(zx)
-        phase = np.stack([system.dressing(p, targets)
-                          for p in zx.reshape((-1,) + zx.shape[-2:])])
-        return system.phase_points(z, zx), g * np.exp(-1j * phase.reshape(g.shape))
-    return row
+def per_node_rows(system, window, z, x):
+    """`WeylSystem.coherent_rows` with the dressing taken one node at a
+    time, as before it ran over node blocks."""
+    zx = system.alg.bch(z, x)
+    g = window(zx)
+    phase = np.stack([system.dressing(p, x) for p in zx.reshape((-1,) + zx.shape[-2:])])
+    return system.phase_points(z, zx), g * np.exp(-1j * phase.reshape(g.shape))
 
 
 DRESSINGS = {
@@ -434,7 +430,7 @@ def test_magnetic_dressing_blocks_are_bitwise_per_node(potential, budget, monkey
     cfg = config("heisenberg:1", "off_centre")
     A = DRESSINGS[potential]
     with monkeypatch.context() as m:
-        m.setattr(berezin, "_kernel_row", per_node_row)
+        m.setattr(MagneticWeylSystem, "coherent_rows", per_node_rows)
         want = mag_berezin(cfg, A).kernel
     monkeypatch.setattr(coherent, "BLOCK_ENTRIES", budget)
     assert mag_berezin(cfg, A).kernel.tobytes() == want.tobytes()
