@@ -22,6 +22,8 @@ class GridError(ValueError):
 def _as_tuple(value, n, kind) -> tuple:
     if np.isscalar(value):
         value = [value] * n
+    if any(isinstance(v, (bool, np.bool_)) for v in value):  # int(True) would be 1
+        raise GridError(f"per-axis values must be numbers, not booleans, got {value!r}")
     try:
         out = tuple(kind(v) for v in value)
     except (OverflowError, ValueError):  # int(inf), int(nan), float("wide")

@@ -30,7 +30,7 @@ import numpy as np
 from .algebra import LieAlgebra
 from .berezin import BerezinConfig, berezin_kernel_points
 from .coherent import PhasePoint, node_blocks, weyl
-from .fields import Field
+from .fields import Field, grid_interpolator
 from .grids import Grid
 from .operators import OperatorMatrix
 from .symbols import PhaseSymbol, SymbolError, XOnlySymbol, XiSymbol
@@ -131,17 +131,13 @@ def symbol_from_kernel(alg: LieAlgebra, kernel, grid: Grid, x_points,
     out = np.empty((len(x_points), len(xi_points)), dtype=complex)
     approximate = False
     if isinstance(kernel, OperatorMatrix):
-        from scipy.interpolate import RegularGridInterpolator
         approximate = True
-        axes = tuple(kernel.grid.axes())
         nodes = kernel.grid.nodes()
         for k, xp in enumerate(x_points):
             idx = int(np.argmin(np.sum((nodes - xp) ** 2, axis=1)))
             if not np.allclose(nodes[idx], xp, atol=1e-12):
                 raise SymbolError("sampled-kernel recovery needs x on grid nodes")
-            row = RegularGridInterpolator(axes, kernel.kernel[idx].reshape(kernel.grid.counts),
-                                          bounds_error=False, fill_value=0.0)
-            kv = row(alg.bch(-y, xp))
+            kv = grid_interpolator(kernel.grid, kernel.kernel[idx])(alg.bch(-y, xp))
             out[k] = grid.weight * (kv @ phases)
     else:
         for k, xp in enumerate(x_points):

@@ -12,7 +12,7 @@ from nilquant import operators, verify
 from nilquant.cli import main
 from nilquant.config import ConfigError, parse_config
 from nilquant.exports import field_to_csv, load_matrix, matrix_to_csv, save_matrix
-from nilquant.grids import Grid
+from nilquant.grids import Grid, GridError
 from nilquant.operators import OperatorMatrix
 from nilquant.verify import run_suites
 
@@ -371,6 +371,9 @@ def test_cli_config_error_exit_code(tmp_path):
     ({"grid": {"half_width": float("nan"), "count": 32}}, "bad grid"),
     ({"grid": {"half_width": float("inf"), "count": 32}}, "bad grid"),
     ({"grid": {"half_width": 8.0, "count": float("inf")}}, "bad grid"),
+    ({"grid": {"half_width": 4, "count": True}}, "bad grid: .*not booleans"),
+    ({"grid": {"half_width": True, "count": 32}}, "bad grid: .*not booleans"),
+    ({"xi_grid": {"dual": {"count": [True]}}}, "bad xi_grid.dual: .*not booleans"),
     ({"xi_grid": {"dual": {"half_width": float("nan")}}}, "bad xi_grid.dual"),
     ({"symbol": {"kind": "gaussian", "amplitude": float("nan")}}, "bad symbol"),
     ({"symbol": {"kind": "gaussian", "xi_sigma": float("inf")}}, "bad symbol"),
@@ -425,6 +428,25 @@ def test_cli_bad_inputs_exit_2(tmp_path):
         (tmp_path / "m.json").write_text(sidecar)
         assert main(["export", "--matrix", str(tmp_path / "m"), "--csv", csv_out]) == 2
     assert not os.path.exists(csv_out)
+
+
+@pytest.mark.parametrize("grid", [{"half_width": 4, "count": True},
+                                  {"half_width": True, "count": 32},
+                                  {"half_width": [4.0], "count": [False]}])
+def test_cli_boolean_grid_values_exit_2(tmp_path, capsys, grid):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**SMALL, "grid": grid}))
+    assert main(["quantize", "--config", str(path), "--out", str(tmp_path / "q")]) == 2
+    assert "bad grid: per-axis values must be numbers, not booleans" in capsys.readouterr().err
+    assert not (tmp_path / "q").exists()
+
+
+def test_grid_box_refuses_booleans_and_keeps_whole_floats():
+    for half_width, count in ((4.0, True), (True, 8), (4.0, np.bool_(True)), (4.0, [8, True])):
+        with pytest.raises(GridError, match="not booleans"):
+            Grid.box(2, half_width, count)
+    assert Grid.box(2, 8.0, 8.0).counts == (8, 8)
+    assert parse_config({**SMALL, "grid": {"half_width": 8, "count": 16.0}}).g_grid.counts == (16,)
 
 
 @pytest.mark.parametrize("spec", [
