@@ -371,9 +371,6 @@ def test_cli_config_error_exit_code(tmp_path):
     ({"grid": {"half_width": float("nan"), "count": 32}}, "bad grid"),
     ({"grid": {"half_width": float("inf"), "count": 32}}, "bad grid"),
     ({"grid": {"half_width": 8.0, "count": float("inf")}}, "bad grid"),
-    ({"grid": {"half_width": 4, "count": True}}, "bad grid: .*not booleans"),
-    ({"grid": {"half_width": True, "count": 32}}, "bad grid: .*not booleans"),
-    ({"xi_grid": {"dual": {"count": [True]}}}, "bad xi_grid.dual: .*not booleans"),
     ({"xi_grid": {"dual": {"half_width": float("nan")}}}, "bad xi_grid.dual"),
     ({"symbol": {"kind": "gaussian", "amplitude": float("nan")}}, "bad symbol"),
     ({"symbol": {"kind": "gaussian", "xi_sigma": float("inf")}}, "bad symbol"),
@@ -403,6 +400,9 @@ def test_cli_config_error_exit_code(tmp_path):
     ({"tolerance_scale": 0}, "bad tolerance_scale"),
     ({"tolerance_scale": -1.0}, "bad tolerance_scale"),
     ({"tolerance_scale": "2"}, "bad tolerance_scale"),
+    ({"grid": {"half_width": 4, "count": True}}, "bad grid: .*not booleans"),
+    ({"grid": {"half_width": True, "count": 32}}, "bad grid: .*not booleans"),
+    ({"xi_grid": {"dual": {"count": [True]}}}, "bad xi_grid.dual: .*not booleans"),
 ])
 def test_parse_reports_bad_specs(spec, problem):
     with pytest.raises(ConfigError, match=problem):
