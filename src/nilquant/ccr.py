@@ -75,39 +75,27 @@ def trans_R(alg: LieAlgebra, z, u: Field) -> Field:
     return Field(lambda p: u(alg.bch(p, z)), alg.dim, u.domain, u.interpolated)
 
 
-def _generator(alg: LieAlgebra, Z, u: Field, h: float, richardson: bool, move) -> Field:
-    """d/dt|_0 u(move(tZ, x)) by a central difference of step h (O(h^2)), or
-    with ``richardson`` the h and h/2 stencils combined to O(h^4)."""
+def _generator(alg: LieAlgebra, Z, u: Field, h: float, move) -> Field:
+    """d/dt|_0 u(move(tZ, x)) by a central difference of step h (O(h^2))."""
     if h <= 0:
         raise ValueError("finite-difference step h must be positive")
     Z = np.asarray(Z, float)
     alg.check_dim(Z)
 
-    def central(step):
-        def fn(p):
-            return (u(move(step * Z, p)) - u(move(-step * Z, p))) / (2.0 * step)
-        return fn
+    def fn(p):
+        return (u(move(h * Z, p)) - u(move(-h * Z, p))) / (2.0 * h)
 
-    if not richardson:
-        return Field(central(h), alg.dim, u.domain, u.interpolated)
-    coarse, fine = central(h), central(h / 2.0)
-    return Field(lambda p: (4.0 * fine(p) - coarse(p)) / 3.0, alg.dim, u.domain,
-                 u.interpolated)
+    return Field(fn, alg.dim, u.domain, u.interpolated)
 
 
-def deriv_L(alg: LieAlgebra, Z, u: Field, h: float = DEFAULT_FD_STEP,
-            richardson: bool = False) -> Field:
-    """Left generator D^L_Z by a central difference of step h (O(h^2)).
-
-    With ``richardson`` the h and h/2 stencils are combined to O(h^4).
-    """
-    return _generator(alg, Z, u, h, richardson, alg.bch)
+def deriv_L(alg: LieAlgebra, Z, u: Field, h: float = DEFAULT_FD_STEP) -> Field:
+    """Left generator D^L_Z by a central difference of step h (O(h^2))."""
+    return _generator(alg, Z, u, h, alg.bch)
 
 
-def deriv_R(alg: LieAlgebra, Z, u: Field, h: float = DEFAULT_FD_STEP,
-            richardson: bool = False) -> Field:
+def deriv_R(alg: LieAlgebra, Z, u: Field, h: float = DEFAULT_FD_STEP) -> Field:
     """Right generator D^R_Z by a central difference of step h."""
-    return _generator(alg, Z, u, h, richardson, lambda X, p: alg.bch(p, X))
+    return _generator(alg, Z, u, h, lambda X, p: alg.bch(p, X))
 
 
 # ---------------------------------------------------------------------------

@@ -52,9 +52,9 @@ value is bitwise the same for any block size, since each block does per
 node what the whole grid did and no block is a lone node (see
 `node_blocks`).
 
-Two evaluation routes are kept for FW: the factored one (change of
-variables, then the separable phase) and a literal per-node quadrature;
-they must agree to reassociation error.
+FW has one route, `WeylSystem.wigner`: the change of variables, then the
+separable phase.  The tests check it against a literal per-node quadrature
+(`tests/oracles.py`).
 
 `coherent_state_bank` returns every coherent state at every target, so it
 does build the dense (|Xi| x targets) matrix, one complex exp per entry,
@@ -347,29 +347,14 @@ def weyl_compose_factor(alg: LieAlgebra, p: PhasePoint, q: PhasePoint, x) -> np.
 # ---------------------------------------------------------------------------
 
 def fourier_wigner(alg: LieAlgebra, u: Field, v: Field, g_grid: Grid,
-                   xi_grid: XiGrid, method: str = "factored") -> XiSamples:
+                   xi_grid: XiGrid) -> XiSamples:
     """FW[u, v] sampled on a XiGrid; y-quadrature over `g_grid`.
 
-    "factored" is the plain system's `WeylSystem.wigner` (change of
-    variables, then the separable phase); "direct" is the literal per-node
-    quadrature (slow; cross-check route).  Both warn (`NyquistWarning`) when
-    the dual box of `xi_grid` is past the Nyquist band pi/h of `g_grid`.
+    The plain system's `WeylSystem.wigner`: the change of variables, then
+    the separable phase.  Warns (`NyquistWarning`, attributed to the caller)
+    when the dual box of `xi_grid` is past the Nyquist band pi/h of `g_grid`.
     """
-    if method == "factored":
-        return WeylSystem(alg).wigner(u, v, g_grid, xi_grid)
-    if method == "direct":
-        _warn_past_nyquist(g_grid, xi_grid.dual_grid)
-        z_nodes, zeta_nodes = xi_grid.node_pairs()
-        y = g_grid.nodes()
-        vals = np.empty((len(z_nodes), len(zeta_nodes)), dtype=complex)
-        vy = np.conjugate(v(y))
-        for i, z in enumerate(z_nodes):
-            uz = u(alg.bch(alg.inv(z), y))
-            for j, zeta in enumerate(zeta_nodes):
-                phase = np.exp(1j * (y @ zeta))
-                vals[i, j] = g_grid.weight * np.sum(phase * uz * vy)
-        return XiSamples(xi_grid, vals)
-    raise ValueError(f"unknown method {method!r}")
+    return WeylSystem(alg).wigner(u, v, g_grid, xi_grid)
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,12 @@ antisymmetric partner is an error, not a shorthand.  Their dimension, step
 and 1-based indices are JSON integers (a float or a bool is refused, not
 truncated), and their values are finite.
 
+Numbers are JSON numbers: a string such as "8" or a boolean in a numeric
+field is refused, although float() and int() would take it.  Grid values are
+checked by `grids.Grid`, every other numeric field by `_refuse_non_numbers`.
+
 Cost guards reject grids whose phase-space node count or kernel sample count
-would be quadratically expensive, unless "allow_large_grids" is set.  They
+would be quadratically expensive, unless "allow_large_grids" is JSON true.  They
 are the only size checks: the quantizers behind every scheme assemble
 whatever grid they are given.
 """
@@ -76,6 +80,23 @@ DESK_GRIDS = {1: (10.0, 128, 128), 2: (6.0, 24, 24), 3: (4.0, 9, 11)}
 def _is_int(value) -> bool:
     """An integer as JSON writes it: not a float (2.7 or 2.0) nor a bool."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    """Not a string nor a bool, nor a list holding one; anything else is left
+    to the field's own validation."""
+    if isinstance(value, list):
+        return all(_is_number(v) for v in value)
+    return not isinstance(value, (str, bool))
+
+
+def _refuse_non_numbers(spec: dict, label: str, problems) -> bool:
+    """Report each value of `spec` but its "kind" that is a string or a
+    boolean; True if there is none."""
+    bad = sorted(k for k, v in spec.items() if k != "kind" and not _is_number(v))
+    for key in bad:
+        problems.append(f"bad {label}: {key} must be a number, not {spec[key]!r}")
+    return not bad
 
 
 def _is_bracket(entry, dim: int) -> bool:
@@ -162,6 +183,8 @@ def _build_symbol(spec, n, problems) -> XiSymbol | None:
     if not isinstance(spec, dict):
         problems.append("symbol must be an object")
         return None
+    if not _refuse_non_numbers(spec, "symbol", problems):
+        return None
     kind = spec.get("kind", "gaussian")
     keys = set(spec) - {"kind"}
     try:
@@ -226,15 +249,17 @@ def parse_config(text: str | dict) -> ExperimentConfig:
     xi_d = _build_grid(xi_spec.get("dual", raw.get("dual_grid")), n, problems,
                        xi_default, dual=True, label="xi_grid.dual")
 
-    allow_large = bool(raw.get("allow_large_grids", False))
+    allow_large = raw.get("allow_large_grids", False)
+    if not isinstance(allow_large, bool):
+        problems.append(f"allow_large_grids must be true or false, not {allow_large!r}")
     guard = operators.KERNEL_SAMPLE_GUARD
-    if g_grid is not None and g_grid.size ** 2 > guard and not allow_large:
+    if g_grid is not None and g_grid.size ** 2 > guard and allow_large is not True:
         problems.append(
             f"operator kernel would hold {g_grid.size ** 2:.2e} samples "
             f"(guard {guard:.0e}); set allow_large_grids to override")
     if xi_g is not None and xi_d is not None:
         xi_nodes = xi_g.size * xi_d.size
-        if xi_nodes > XI_NODE_GUARD and not allow_large:
+        if xi_nodes > XI_NODE_GUARD and allow_large is not True:
             problems.append(
                 f"phase-space grid would hold {xi_nodes:.2e} nodes "
                 f"(guard {XI_NODE_GUARD:.0e}); set allow_large_grids to override")
@@ -246,10 +271,11 @@ def parse_config(text: str | dict) -> ExperimentConfig:
     unknown = set(window_spec) - {"sigma", "center"}
     if unknown:
         problems.append(f"unknown window keys: {sorted(unknown)}")
-    try:
-        window_field = gaussian(n, window_spec.get("sigma", 1.0), window_spec.get("center"))
-    except (ValueError, TypeError) as exc:
-        problems.append(f"bad window: {exc}")
+    if _refuse_non_numbers(window_spec, "window", problems):
+        try:
+            window_field = gaussian(n, window_spec.get("sigma", 1.0), window_spec.get("center"))
+        except (ValueError, TypeError) as exc:
+            problems.append(f"bad window: {exc}")
 
     symbol = _build_symbol(raw.get("symbol"), n, problems)
 
@@ -268,7 +294,7 @@ def parse_config(text: str | dict) -> ExperimentConfig:
         problems.append(f"bad potential: {exc}")
 
     seed = raw.get("seed", 0)
-    if not isinstance(seed, int) or seed < 0:
+    if not _is_int(seed) or seed < 0:
         problems.append("seed must be a nonnegative integer")
     try:
         tol_scale = tolerance_scale(raw.get("tolerance_scale", 1.0))
@@ -278,6 +304,10 @@ def parse_config(text: str | dict) -> ExperimentConfig:
     suite = raw.get("suite", ["all"])
     if isinstance(suite, str):
         suite = [suite]
+    if not (isinstance(suite, list) and all(isinstance(name, str) for name in suite)):
+        problems.append("suite must be a suite name or a list of them")
+    if not isinstance(raw.get("out"), (str, type(None))):
+        problems.append("out must be a directory name")
 
     if problems:
         raise ConfigError(problems)

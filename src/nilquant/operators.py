@@ -106,11 +106,10 @@ class OperatorMatrix:
         scale = float(np.max(np.abs(self.kernel))) or 1.0
         return float(np.max(np.abs(self.kernel - self.kernel.conj().T))) / scale
 
-    def frobenius_distance(self, other: "OperatorMatrix", relative: bool = True) -> float:
+    def frobenius_distance(self, other: "OperatorMatrix") -> float:
+        """Frobenius distance of the kernels relative to the larger norm."""
         self._check(other)
         d = float(np.linalg.norm(self.kernel - other.kernel))
-        if not relative:
-            return d
         scale = max(float(np.linalg.norm(self.kernel)),
                     float(np.linalg.norm(other.kernel)), 1e-300)
         return d / scale

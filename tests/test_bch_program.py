@@ -3,12 +3,10 @@
 `LieAlgebra.bch` runs a per-algebra program: words longer than the step
 dropped, words ending [Y,X] folded into their [X,Y] partners, shared inner
 brackets computed once, brackets over the nonzero structure constants
-accumulated in place.  The reference below is the earlier route, which
-walked every Dynkin word of `bch_terms` and bracketed with a dense einsum,
-kept here so that both can be compared on the same inputs.
+accumulated in place.  The reference is the earlier route, which
+walked every Dynkin word of `bch_terms` and bracketed with a dense einsum
+(`oracles.term_walk_bch`), so that both can be compared on the same inputs.
 """
-
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,76 +17,10 @@ from nilquant.algebra import (MAX_BCH_DEPTH, LieAlgebra, abelian, bch_terms, eng
                               heisenberg, validate_algebra)
 from nilquant.verify import bch_matrix_oracle
 
+from oracles import (bracket, random_level_blocks, rel_max, strictly_upper, term_walk_bch,
+                     traced_peak, upper_basis)
+
 REL_TOL = 1e-14
-
-
-def einsum_bracket(alg, X, Y):
-    X, Y = np.broadcast_arrays(np.asarray(X, float), np.asarray(Y, float))
-    return np.einsum("...i,...j,ijk->...k", X, Y, alg.c)
-
-
-def term_walk_bch(alg, X, Y):
-    """Every Dynkin word through the step, right-nested einsum brackets."""
-    X, Y = np.broadcast_arrays(np.asarray(X, float), np.asarray(Y, float))
-    letters = (X, Y)
-    out = np.zeros(np.broadcast_shapes(X.shape, Y.shape))
-    for coeff, word in bch_terms(MAX_BCH_DEPTH):
-        if len(word) > alg.step:
-            continue
-        v = letters[word[-1]]
-        for letter in word[-2::-1]:
-            v = einsum_bracket(alg, letters[letter], v)
-        out = out + coeff * v
-    return out
-
-
-def rel_max_abs(got, ref):
-    assert got.shape == ref.shape
-    scale = np.max(np.abs(ref))
-    return float(np.max(np.abs(got - ref)) / scale) if scale > 0 else float(np.max(np.abs(got)))
-
-
-def upper_basis(k, blocks=None):
-    """The positions (i, j), i < j, of the E_ij basis of strictly
-    upper-triangular k x k matrices, and the basis change P of
-    `strictly_upper(k, blocks)`: its new basis is f_a = sum_b P[b, a] e_b."""
-    idx = [(i, j) for i in range(k) for j in range(i + 1, k)]
-    P = np.eye(len(idx))
-    if blocks is not None:
-        pos = {p: a for a, p in enumerate(idx)}
-        for level, block in enumerate(blocks, start=1):
-            members = [pos[(i, i + level)] for i in range(k - level)]
-            P[np.ix_(members, members)] = block
-    return idx, P
-
-
-def strictly_upper(k, blocks=None):
-    """Strictly upper-triangular k x k matrices (step k - 1) in the basis
-    E_ij, i < j; `blocks[l]` changes the basis of the level j - i = l + 1."""
-    idx, P = upper_basis(k, blocks)
-    pos = {p: a for a, p in enumerate(idx)}
-    dim = len(idx)
-    c = np.zeros((dim, dim, dim))
-    for a, (i, j) in enumerate(idx):
-        for b, (p, q) in enumerate(idx):
-            if j == p:
-                c[a, b, pos[(i, q)]] += 1.0
-            if q == i:
-                c[a, b, pos[(p, j)]] -= 1.0
-    if blocks is not None:
-        c = np.einsum("ia,jb,ijk,mk->abm", P, P, c, np.linalg.inv(P))
-    return LieAlgebra(dim, c, k - 1, name=f"ut{k}")
-
-
-def random_level_blocks(k, rng):
-    """A random basis of each level of the k x k strictly upper-triangular
-    matrices: an orthogonal matrix with its columns scaled by 0.5 to 2."""
-    blocks = []
-    for level in range(1, k):
-        size = k - level
-        q, _ = np.linalg.qr(rng.normal(size=(size, size)))
-        blocks.append(q * rng.uniform(0.5, 2.0, size))
-    return blocks
 
 
 ALGEBRAS = {
@@ -130,7 +62,7 @@ def test_bch_matches_term_walk(name, shape):
     for order in ((xs, ys), (ys, xs)):
         X, Y = _points(rng, alg, order[0]), _points(rng, alg, order[1])
         got = alg.bch(X, Y)
-        assert rel_max_abs(got, term_walk_bch(alg, X, Y)) <= REL_TOL
+        assert rel_max(got, term_walk_bch(alg, X, Y)) <= REL_TOL
 
 
 @pytest.mark.parametrize("alg", [LieAlgebra(3, heisenberg().c, 1, name="h1-as-step-1"),
@@ -141,9 +73,9 @@ def test_bch_truncates_at_the_declared_step(alg):
     rng = np.random.default_rng(6)
     X, Y = _points(rng, alg, (9,)), _points(rng, alg, (9,))
     got = alg.bch(X, Y)
-    assert rel_max_abs(got, term_walk_bch(alg, X, Y)) <= REL_TOL
+    assert rel_max(got, term_walk_bch(alg, X, Y)) <= REL_TOL
     full = LieAlgebra(alg.dim, alg.c, alg.step + 1)
-    assert rel_max_abs(got, full.bch(X, Y)) > 1e-3
+    assert rel_max(got, full.bch(X, Y)) > 1e-3
 
 
 @pytest.mark.parametrize("name", ALGEBRAS)
@@ -163,7 +95,7 @@ def test_bch_at_the_unit_is_bitwise(name):
 def test_bracket_matches_einsum(name, shape):
     alg, xs, ys, rng = _case(name, shape, 1)
     X, Y = _points(rng, alg, xs), _points(rng, alg, ys)
-    assert rel_max_abs(alg.bracket(X, Y), einsum_bracket(alg, X, Y)) <= REL_TOL
+    assert rel_max(alg.bracket(X, Y), bracket(alg, X, Y)) <= REL_TOL
 
 
 def test_bracket_matches_einsum_without_antisymmetry():
@@ -173,7 +105,7 @@ def test_bracket_matches_einsum_without_antisymmetry():
     c = rng.normal(size=(4, 4, 4)) * (rng.uniform(size=(4, 4, 4)) < 0.4)
     alg = LieAlgebra(4, c, 2, name="raw")
     X, Y = rng.normal(size=(2, 30, 4))
-    assert rel_max_abs(alg.bracket(X, Y), einsum_bracket(alg, X, Y)) <= REL_TOL
+    assert rel_max(alg.bracket(X, Y), bracket(alg, X, Y)) <= REL_TOL
 
 
 @settings(max_examples=25, deadline=None)
@@ -185,7 +117,7 @@ def test_bch_random_strictly_upper(k, seed, shape):
     assert validate_algebra(alg, tol=1e-10).passed
     xs, ys = SHAPES[shape]
     X, Y = _points(rng, alg, xs), _points(rng, alg, ys)
-    assert rel_max_abs(alg.bch(X, Y), term_walk_bch(alg, X, Y)) <= REL_TOL
+    assert rel_max(alg.bch(X, Y), term_walk_bch(alg, X, Y)) <= REL_TOL
 
 
 #: the BCH product against log(exp X exp Y) of the matrices, relative max-abs
@@ -213,7 +145,7 @@ def test_bch_matches_matrix_oracle_in_a_random_basis(k, seed):
 
     for x, y in rng.uniform(-1.0, 1.0, (8, 2, alg.dim)):
         want = bch_matrix_oracle(to_matrix, to_coords, x, y)
-        assert rel_max_abs(alg.bch(x, y), want) <= ORACLE_TOL
+        assert rel_max(alg.bch(x, y), want) <= ORACLE_TOL
 
 
 def test_program_shape():
@@ -243,22 +175,13 @@ def test_program_shares_inner_brackets():
     assert _count_nodes(ALGEBRAS["ut7"]._bch_program) == 29
 
 
-def _traced_peak(fn, *args):
-    tracemalloc.start()
-    try:
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_bch_peak_memory_not_above_term_walk():
     alg = heisenberg()
     rng = np.random.default_rng(5)
     X, Y = _points(rng, alg, (216, 1)), _points(rng, alg, (1, 1000))
     out = alg.bch(X, Y)  # compile the program outside the measurement
-    peak = _traced_peak(alg.bch, X, Y)
-    assert peak <= _traced_peak(term_walk_bch, alg, X, Y)
+    peak = traced_peak(alg.bch, X, Y)
+    assert peak <= traced_peak(term_walk_bch, alg, X, Y)
     # H1 stores no inner bracket: the product and one scratch component,
     # with slack for bookkeeping but not for a second full-size array
     assert peak <= 1.25 * (out.nbytes + out[..., 0].nbytes)

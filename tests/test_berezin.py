@@ -20,13 +20,9 @@ from nilquant.grids import Grid, XiGrid
 from nilquant.symbols import (DeltaSymbol, GaussianSymbol, PhaseSymbol, SymbolError,
                               XOnlySymbol, XiOnlySymbol)
 from nilquant.transforms import inner
+from nilquant.verify import line_setup as line
 
-
-def line(N=128):
-    alg = abelian(1)
-    grid = Grid.box(1, 10.0, N)
-    xi = XiGrid.box(1, 10.0, N)
-    return alg, grid, xi, make_window(alg, grid)
+from oracles import bits, per_node_conv_example, per_node_multiplier
 
 
 def one_symbol(n=1):
@@ -140,22 +136,6 @@ def test_multiplier_positive():
     assert np.all(m(np.linspace(-3, 3, 21)[:, None]).real > 0)
 
 
-def per_node_multiplier(alg, window, phi, z_grid):
-    """The loop multiplier_field ran before it took blocks of z nodes: one
-    BCH product and one window call per node."""
-    z_nodes = z_grid.nodes()
-    phi_vals = phi(z_nodes)
-
-    def fn(x):
-        flat = x.reshape(-1, x.shape[-1])
-        acc = np.zeros(len(flat), dtype=complex)
-        for z, pv in zip(z_nodes, phi_vals):
-            acc += pv * np.abs(window(alg.bch(z, flat))) ** 2
-        return (z_grid.weight * acc).reshape(x.shape[:-1])
-
-    return fn
-
-
 @pytest.mark.parametrize("group", ["abelian:1", "heisenberg:1"])
 @pytest.mark.parametrize("points", [1, 7, 300, 5000])
 def test_multiplier_blocks_are_bitwise_the_per_node_loop(group, points, monkeypatch):
@@ -180,29 +160,8 @@ def test_multiplier_blocks_are_bitwise_the_per_node_loop(group, points, monkeypa
     blocks = node_blocks(z_grid.size, points)
     assert calls == [(b.stop - b.start, 1, n) for b in blocks]
     monkeypatch.undo()
-    want = per_node_multiplier(alg, w, phi, z_grid)(x)
     assert got.shape == (points,)
-    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-
-
-def per_node_conv_example(cfg, psi):
-    """The loop conv_example_kernel ran before it took blocks of z nodes: one
-    BCH product, one dense (x, zeta) phase exp and one matrix product per
-    node."""
-    alg, window = cfg.algebra, cfg.window
-    z_nodes, z_w = cfg.z_quadrature()
-    x = cfg.g_grid.nodes()
-    dual = cfg.xi_grid.dual_grid
-    zeta = dual.nodes()
-    psi_w = psi(zeta) * dual.weight
-    K = np.zeros((len(x), len(x)), dtype=complex)
-    for z in z_nodes:
-        zx = alg.bch(z, x)
-        E = np.exp(-1j * (zx @ zeta.T))
-        core = (E * psi_w[None, :]) @ E.conj().T
-        g = window(zx)
-        K += core * (g[:, None] * np.conjugate(g)[None, :])
-    return z_w * K
+    assert bits(got) == bits(per_node_multiplier(alg, w, phi, z_grid)(x))
 
 
 @pytest.mark.parametrize("budget", ["default", "two nodes", "five nodes"])
@@ -237,8 +196,7 @@ def test_conv_example_blocks_are_bitwise_the_per_node_loop(group, budget, monkey
     blocks = node_blocks(xi.g_grid.size, m * (m + d))
     assert calls == [(b.stop - b.start, 1, n) for b in blocks]
     monkeypatch.undo()
-    want = per_node_conv_example(cfg, psi)
-    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert bits(got) == bits(per_node_conv_example(cfg, psi))
 
 
 def test_conv_example_matches_closed_form_assembly():

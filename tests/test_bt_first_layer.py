@@ -5,8 +5,6 @@ algebras with random Gaussian symbols and windows; the first-layer axes
 themselves, empty point sets and the memory of a call at the symbols-line
 sizes."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,14 +15,11 @@ from nilquant.algebra import abelian, engel, heisenberg
 from nilquant.berezin import BerezinConfig
 from nilquant.coherent import PhasePoint, make_window
 from nilquant.covariant import _berezin_transform_points, berezin_transform_nodes
-from nilquant.fields import sample_xi
 from nilquant.grids import Grid, XiGrid
 from nilquant.symbols import GaussianSymbol
-from nilquant.transforms import dual_phase_grid
 
-from test_bch_program import strictly_upper
-from test_central_groups import random_algebra
-from test_phase_free_and_reuse import BT_TOL, bt_case, per_point_bt, relative_gap
+from oracles import (BT_TOL, bt_case, per_alpha_exp_bt, per_point_bt, random_algebra, rel_max,
+                     strictly_upper, traced_peak)
 
 # The dropped factor e^{-i alpha_k (a_k - z_k)} is unimodular and cancels in
 # |.|^2 exactly; the two routes differ only in the rounding of the phase
@@ -36,26 +31,6 @@ FIRST_LAYER_TOL = 1e-13
 # complex exp per (a, alpha, z, y): 4.33 MB.  The first-layer route holds one
 # group's (N_z, N_y) phase beside the chunk's block and measured 4.23 MB.
 REPLACED_ROUTE_PEAK = 4_340_000
-
-
-def per_alpha_exp_bt(cfg, a_nodes, alpha_nodes):
-    """The route the batch took before the first-layer phases moved to the y
-    side: exp(-i <a z^{-1} y | alpha>) for every (a, alpha, z, y), one dual
-    point at a time."""
-    alg, w, xi, y_grid = cfg.algebra, cfg.window, cfg.xi_grid, cfg.g_grid
-    f = sample_xi(cfg.symbol, xi).values.reshape(-1)
-    y = y_grid.nodes()
-    back = alg.bch(alg.inv(xi.g_grid.nodes())[:, None, :], y[None, :, :])
-    conj_wy = np.conjugate(w(y))
-    out = np.empty((len(a_nodes), len(alpha_nodes)), dtype=complex)
-    for i, a in enumerate(a_nodes):
-        azy = alg.bch(a, back)
-        g = w(azy) * conj_wy
-        for j, alpha in enumerate(alpha_nodes):
-            block = np.exp(-1j * (azy @ alpha)) * g
-            power = np.abs(dual_phase_grid(block, y_grid, xi.dual_grid, 1)) ** 2
-            out[i, j] = power.reshape(-1) @ f
-    return (xi.weight * y_grid.weight ** 2) * out
 
 
 def engel_case():
@@ -106,7 +81,7 @@ def test_matches_the_per_alpha_exp_route(group, chunk, monkeypatch):
     got = berezin_transform_nodes(cfg, coarse)
     want = per_alpha_exp_bt(cfg, *coarse.node_pairs()).reshape(-1)
     assert got.shape == want.shape
-    assert relative_gap(got, want) <= FIRST_LAYER_TOL
+    assert rel_max(got, want) <= FIRST_LAYER_TOL
 
 
 def test_engel_matches_per_point_route():
@@ -114,7 +89,7 @@ def test_engel_matches_per_point_route():
     got = berezin_transform_nodes(cfg, coarse)
     z, zeta = coarse.node_pairs()
     want = np.array([per_point_bt(cfg, PhasePoint(a, b)) for a in z for b in zeta])
-    assert relative_gap(got, want) <= BT_TOL
+    assert rel_max(got, want) <= BT_TOL
 
 
 def random_case(k, seed):
@@ -151,9 +126,9 @@ def test_random_algebras_match_both_routes(k, seed, chunked):
         got = berezin_transform_nodes(cfg, coarse)
     z, zeta = coarse.node_pairs()
     assert got.shape == (coarse.size,) and np.all(np.isfinite(got))
-    assert relative_gap(got, per_alpha_exp_bt(cfg, z, zeta).reshape(-1)) <= FIRST_LAYER_TOL
+    assert rel_max(got, per_alpha_exp_bt(cfg, z, zeta).reshape(-1)) <= FIRST_LAYER_TOL
     want = np.array([per_point_bt(cfg, PhasePoint(a, b)) for a in z for b in zeta])
-    assert relative_gap(got, want) <= BT_TOL
+    assert rel_max(got, want) <= BT_TOL
 
 
 @pytest.mark.parametrize("group", ["line", "h1"])
@@ -175,10 +150,4 @@ def test_symbols_line_peak_no_higher_than_replaced_route():
     cfg = BerezinConfig(alg, make_window(alg, grid), grid, xi, sym)
     coarse = XiGrid.box(1, 10.0, 12)
     berezin_transform_nodes(cfg, coarse)  # the cached axis factors are not the call's
-    tracemalloc.start()
-    try:
-        berezin_transform_nodes(cfg, coarse)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= REPLACED_ROUTE_PEAK
+    assert traced_peak(berezin_transform_nodes, cfg, coarse) <= REPLACED_ROUTE_PEAK

@@ -103,16 +103,6 @@ def test_deriv_constant_and_abelian_oracle():
     assert np.max(np.abs(got_r - ref)) < 1e-7
 
 
-def test_deriv_richardson_improves():
-    a1 = abelian(1)
-    u = gaussian(1, amplitude=1.0)
-    pts = np.array([[0.5]])
-    ref = -0.5 * np.exp(-0.125)
-    coarse = abs(deriv_L(a1, np.ones(1), u, h=1e-2)(pts)[0] - ref)
-    fine = abs(deriv_L(a1, np.ones(1), u, h=1e-2, richardson=True)(pts)[0] - ref)
-    assert fine < coarse / 10.0
-
-
 def test_deriv_rejects_bad_step():
     a1 = abelian(1)
     u = gaussian(1)

@@ -20,14 +20,8 @@ from nilquant.magnetic import VectorPotential, mag_berezin, magnetic_system
 from nilquant.symbols import GaussianSymbol
 from nilquant.tau import TauMap, berezin_tau, scaled_tau, tau_system
 
-from test_bch_program import random_level_blocks, strictly_upper
-from test_kernel_assembly import GROUP_TOL, per_node_split, relative_gap
-
-
-def random_algebra(k, seed):
-    """A strictly upper-triangular k x k algebra in a random basis of each
-    level, as in the BCH property (`test_bch_program`)."""
-    return strictly_upper(k, random_level_blocks(k, np.random.default_rng(seed)))
+from oracles import (GROUP_TOL, per_node_split, random_algebra, rel_max, row_data,
+                     strictly_upper)
 
 
 def symbol(n, rng):
@@ -86,7 +80,7 @@ def test_groups_match_per_node_loop_on_random_algebras(k, seed, scheme):
     K = quantize(cfg, scheme, np.random.default_rng(seed))
     ref = per_node(cfg, scheme, np.random.default_rng(seed))
     assert np.all(np.isfinite(K)) and np.max(np.abs(ref)) > 0
-    assert relative_gap(K, ref) <= GROUP_TOL
+    assert rel_max(K, ref) <= GROUP_TOL
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
@@ -97,7 +91,7 @@ def test_groups_match_per_node_loop(name, scheme):
     cfg = setup(alg, rng, counts=3, central_count=4)
     K = quantize(cfg, scheme, np.random.default_rng(5))
     ref = per_node(cfg, scheme, np.random.default_rng(5))
-    assert relative_gap(K, ref) <= GROUP_TOL
+    assert rel_max(K, ref) <= GROUP_TOL
 
 
 def test_nonlinear_tau_takes_groups_of_one():
@@ -114,7 +108,7 @@ def test_nonlinear_tau_takes_groups_of_one():
     with pytest.MonkeyPatch.context() as m:
         m.setattr(berezin, "assemble_kernel", per_node_split)
         ref = berezin_tau(cfg, tau).kernel
-    assert relative_gap(K, ref) <= GROUP_TOL
+    assert rel_max(K, ref) <= GROUP_TOL
     for s in (0.0, 0.5, 1.0):
         assert tau_system(alg, scaled_tau(s)).shifts_with_centre
     assert magnetic_system(alg, affine_potential(3, rng)).shifts_with_centre
@@ -167,17 +161,17 @@ def test_group_above_the_budget_splits_into_equal_groups():
     window = make_window(alg, grid, sigma=0.8, center=[0.4])
     sym = symbol(1, np.random.default_rng(3))
     shapes = []
+    rows = row_data(WeylSystem(alg), window, grid.nodes())
 
     def row(z):
         shapes.append(np.shape(z))
-        zx = alg.bch(z, grid.nodes())
-        return zx, window(zx)
+        return rows(z)
 
     z_nodes = z_grid.grouped_nodes((0,))
     assert z_nodes.shape == (1, 1024, 1) and CHUNK_ENTRIES // 512 == 128
     K = assemble_kernel(sym, z_nodes, z_grid.weight, row)
     assert shapes == [(1,)] + [(1, 128, 1, 1)] * 8
-    assert relative_gap(K, per_node_split(sym, z_nodes, z_grid.weight, row)) <= GROUP_TOL
+    assert rel_max(K, per_node_split(sym, z_nodes, z_grid.weight, row)) <= GROUP_TOL
 
 
 def test_z_quadrature_given_flat_takes_groups_of_one():
@@ -196,4 +190,4 @@ def test_z_quadrature_given_flat_takes_groups_of_one():
         K_flat = berezin_matrix(cfg, flat).kernel
         K = berezin_matrix(cfg).kernel
     assert calls == [(36, 3), (9, 4, 3)]
-    assert relative_gap(K, K_flat) <= GROUP_TOL
+    assert rel_max(K, K_flat) <= GROUP_TOL

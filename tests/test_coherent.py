@@ -7,21 +7,17 @@ import numpy as np
 import pytest
 
 from nilquant.algebra import abelian, engel, heisenberg
-from nilquant.coherent import (NyquistWarning, PhasePoint, bargmann, bargmann_adjoint,
-                               coherent_state, fourier_wigner,
+from nilquant.coherent import (NyquistWarning, PhasePoint, WeylSystem, bargmann,
+                               bargmann_adjoint, coherent_state, fourier_wigner,
                                make_window, nyquist_axes, projector, reproducing_apply,
                                reproducing_kernel, weyl, weyl_adjoint,
                                weyl_compose_factor)
 from nilquant.fields import gaussian, random_gaussian
 from nilquant.grids import Grid, XiGrid
 from nilquant.transforms import inner, l2_norm
+from nilquant.verify import line_setup as line
 
-
-def line():
-    alg = abelian(1)
-    grid = Grid.box(1, 10.0, 128)
-    xi = XiGrid.box(1, 10.0, 128)
-    return alg, grid, xi, make_window(alg, grid)
+import oracles
 
 
 def test_weyl_identity_point():
@@ -106,18 +102,10 @@ def test_fourier_wigner_at_origin_is_inner_product():
     assert abs(got - inner(u, v, grid)) < 1e-12
 
 
-def ref_fourier_wigner_at(alg, u, v, g_grid, p):
-    """The point route FW[u, v](p) had of its own, written out."""
-    y = g_grid.nodes()
-    uz = u(alg.bch(alg.inv(p.zv), y))
-    phase = np.exp(1j * (y @ p.zetav))
-    return complex(g_grid.weight * np.sum(phase * uz * np.conjugate(v(y))))
-
-
 @pytest.mark.parametrize("alg", [abelian(1), heisenberg(), engel()], ids=lambda a: a.name)
 def test_fourier_wigner_at_a_point_is_the_shift_inner_product(alg):
     """FW[u, v](p) = <W(p) u, v> takes the shift and the inner product; the
-    written-out quadrature it replaced agrees to rounding."""
+    dense quadrature of the oracle agrees to rounding."""
     n = alg.dim
     grid = Grid.box(n, 4.0, 64 if n == 1 else 8)
     rng = np.random.default_rng(21)
@@ -125,7 +113,7 @@ def test_fourier_wigner_at_a_point_is_the_shift_inner_product(alg):
         u, v = random_gaussian(rng, n), random_gaussian(rng, n)
         p = PhasePoint(rng.uniform(-1, 1, n), rng.uniform(-1, 1, n))
         got = inner(weyl(alg, p, u), v, grid)
-        want = ref_fourier_wigner_at(alg, u, v, grid, p)
+        want = oracles.wigner(WeylSystem(alg), u, v, grid, [p.zv], [p.zetav])[0, 0]
         assert abs(got - want) <= 1e-14 * max(abs(want), 1e-3)
 
 
@@ -150,11 +138,9 @@ def test_fourier_wigner_factored_vs_direct():
     xi = XiGrid.box(1, 8.0, 12)
     rng = np.random.default_rng(7)
     u, v = random_gaussian(rng, 1), random_gaussian(rng, 1)
-    fast = fourier_wigner(alg, u, v, grid, xi, method="factored")
-    slow = fourier_wigner(alg, u, v, grid, xi, method="direct")
-    assert np.max(np.abs(fast.values - slow.values)) < 1e-8
-    with pytest.raises(ValueError):
-        fourier_wigner(alg, u, v, grid, xi, method="bogus")
+    fast = fourier_wigner(alg, u, v, grid, xi)
+    slow = oracles.wigner(WeylSystem(alg), u, v, grid, *xi.node_pairs())
+    assert np.max(np.abs(fast.values - slow)) < 1e-8
 
 
 def test_fourier_wigner_pointwise_bound():

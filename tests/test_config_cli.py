@@ -166,9 +166,9 @@ def test_cost_guard_on_phase_space_grid():
 @pytest.mark.parametrize("scheme", ["berezin", "op"])
 def test_cli_kernel_guard_honors_allow_large_grids(tmp_path, monkeypatch, scheme):
     """One kernel size guard for every scheme: past it a config exits 2, and
-    with allow_large_grids it runs."""
+    with allow_large_grids it runs; the string "false" is a config error."""
     monkeypatch.setattr(operators, "KERNEL_SAMPLE_GUARD", 32 ** 2 - 1)
-    for allow, code in ((False, 2), (True, 0)):
+    for allow, code in ((False, 2), ("false", 2), (True, 0)):
         path = tmp_path / f"allow-{allow}.json"
         path.write_text(json.dumps({**SMALL, "allow_large_grids": allow}))
         out = tmp_path / f"out-{allow}"
@@ -403,6 +403,24 @@ def test_cli_config_error_exit_code(tmp_path):
     ({"grid": {"half_width": 4, "count": True}}, "bad grid: .*not booleans"),
     ({"grid": {"half_width": True, "count": 32}}, "bad grid: .*not booleans"),
     ({"xi_grid": {"dual": {"count": [True]}}}, "bad xi_grid.dual: .*not booleans"),
+    ({"allow_large_grids": "false"}, "allow_large_grids must be true or false"),
+    ({"allow_large_grids": "no"}, "allow_large_grids must be true or false"),
+    ({"allow_large_grids": 1}, "allow_large_grids must be true or false"),
+    ({"seed": True}, "seed must be a nonnegative integer"),
+    ({"tolerance_scale": True}, "bad tolerance_scale"),
+    ({"grid": {"half_width": "8", "count": 32}}, "bad grid: .*not booleans or strings"),
+    ({"grid": {"half_width": 8.0, "count": "32"}}, "bad grid: .*not booleans or strings"),
+    ({"xi_grid": {"g": {"count": ["32"]}}}, "bad xi_grid.g: .*not booleans or strings"),
+    ({"window": {"sigma": "1.5"}}, "bad window: sigma must be a number"),
+    ({"window": {"center": ["0.1"]}}, "bad window: center must be a number"),
+    ({"window": {"sigma": True}}, "bad window: sigma must be a number"),
+    ({"symbol": {"kind": "gaussian", "amplitude": "2"}}, "bad symbol: amplitude must be a number"),
+    ({"symbol": {"kind": "gaussian", "x_center": [True]}}, "bad symbol: x_center must be"),
+    ({"symbol": {"kind": "delta", "mass": False}}, "bad symbol: mass must be a number"),
+    ({"symbol": {"kind": "x_gaussian", "sigma": "1"}}, "bad symbol: sigma must be a number"),
+    ({"suite": 5}, "suite must be a suite name or a list of them"),
+    ({"suite": ["weyl", 5]}, "suite must be a suite name or a list of them"),
+    ({"out": 7}, "out must be a directory name"),
 ])
 def test_parse_reports_bad_specs(spec, problem):
     with pytest.raises(ConfigError, match=problem):

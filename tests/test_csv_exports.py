@@ -10,7 +10,6 @@ many.
 
 import subprocess
 import sys
-import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -20,6 +19,8 @@ from nilquant import exports
 from nilquant.exports import field_to_csv, matrix_to_csv, xi_field_to_csv
 from nilquant.grids import Grid, XiGrid
 from nilquant.operators import OperatorMatrix
+
+from oracles import traced_peak
 
 SPECIAL = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -2.2250738585072014e-309,
            1e308, 0.1, -1.0 / 3.0]
@@ -244,12 +245,7 @@ def _csv_peak(tmp_path, m):
     rng = np.random.default_rng(6)
     op = OperatorMatrix(grid, rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
     matrix_to_csv(op, str(tmp_path / "warm.csv"))
-    tracemalloc.start()
-    try:
-        matrix_to_csv(op, str(tmp_path / f"m{m}.csv"))
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    return traced_peak(matrix_to_csv, op, str(tmp_path / f"m{m}.csv"))
 
 
 def test_matrix_csv_peak_memory_is_bounded_by_the_chunk(tmp_path):

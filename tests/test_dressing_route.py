@@ -20,7 +20,8 @@ from nilquant.magnetic import (VectorPotential, linear3_potential, mag_coherent,
                                mag_wigner, magnetic_system, zero_potential)
 from nilquant.tau import tau_e, tau_system
 
-from test_blocked_bargmann import bits, case, ref_field, ref_wigner
+from oracles import (adjoint_shift, bits, coherent_rows, gaussian_field, grid_case,
+                     per_node_bank, shift, whole_grid_wigner)
 
 #: a dressed coherent state against the (phase * u) * dressing order,
 #: relative max-abs
@@ -36,57 +37,25 @@ POTENTIALS = {
 BUDGETS = [1, 5000, 10 ** 9]
 
 
-# -- the routes the two methods replaced --------------------------------------
-
-def ref_adjoint_shift(system, p, u, y):
-    """W(z, zeta)* u at y as (phase * u(zy)) * dressing, one dressing call."""
-    z, zeta = p.zv, p.zetav
-    zy = system.alg.bch(z, y)
-    out = np.exp(-1j * np.einsum("...i,i->...", system.phase_points(z, zy), zeta)) * u(zy)
-    if system.dressed:
-        out = out * np.exp(-1j * system.dressing(zy, y))
-    return out
-
-
-def ref_shift(system, p, u, x):
-    """W(z, zeta) u at x with one dressing call on every point."""
-    z, zeta = p.zv, p.zetav
-    back = system.alg.bch(system.alg.inv(z), x)
-    out = np.exp(1j * np.einsum("...i,i->...", system.phase_points(z, x), zeta)) * u(back)
-    if system.dressed:
-        out = out * np.exp(1j * system.dressing(x, back))
-    return out
-
-
-def per_node_bank(alg, w, xi_grid, targets):
-    """The coherent-state bank one z node at a time."""
-    z_nodes, zeta_nodes = xi_grid.node_pairs()
-    out = np.empty((len(z_nodes) * len(zeta_nodes), len(targets)), dtype=complex)
-    for i, z in enumerate(z_nodes):
-        zx = alg.bch(z, targets)
-        base = w(zx)
-        phases = np.exp(-1j * (zx @ zeta_nodes.T))
-        out[i * len(zeta_nodes):(i + 1) * len(zeta_nodes), :] = (base[:, None] * phases).T
-    return out
-
-
 # -- the magnetic Fourier-Wigner transform --------------------------------------
 
 @pytest.mark.parametrize("budget", BUDGETS)
 @pytest.mark.parametrize("potential", POTENTIALS)
 def test_mag_wigner_is_bitwise_the_row_by_row_dressing(potential, budget, monkeypatch):
-    alg, y_grid, xi, u, v = case("heisenberg:1", BUDGETS.index(budget))
+    alg, y_grid, xi, u, v = grid_case("heisenberg:1", BUDGETS.index(budget))
     A = POTENTIALS[potential]
-    want = ref_wigner(magnetic_system(alg, A), ref_field(u), ref_field(v), y_grid, xi)
+    want = whole_grid_wigner(magnetic_system(alg, A), gaussian_field(u), gaussian_field(v),
+                             y_grid, xi)
     monkeypatch.setattr(coherent, "BLOCK_ENTRIES", budget)
     assert bits(mag_wigner(alg, A, u, v, y_grid, xi).values) == bits(want)
 
 
 @pytest.mark.parametrize("budget", BUDGETS)
 def test_quadratic_mag_wigner_is_bitwise_on_engel(budget, monkeypatch):
-    alg, y_grid, xi, u, v = case("engel", BUDGETS.index(budget))
+    alg, y_grid, xi, u, v = grid_case("engel", BUDGETS.index(budget))
     A = POTENTIALS["quadratic"]
-    want = ref_wigner(magnetic_system(alg, A), ref_field(u), ref_field(v), y_grid, xi)
+    want = whole_grid_wigner(magnetic_system(alg, A), gaussian_field(u), gaussian_field(v),
+                             y_grid, xi)
     monkeypatch.setattr(coherent, "BLOCK_ENTRIES", budget)
     assert bits(mag_wigner(alg, A, u, v, y_grid, xi).values) == bits(want)
 
@@ -148,14 +117,14 @@ def test_dressed_coherent_state_reassociates_one_unit_product(potential):
     system = magnetic_system(alg, POTENTIALS[potential])
     y = grid.nodes()
     got = mag_coherent(alg, POTENTIALS[potential], w, p)(y)
-    want = ref_adjoint_shift(system, p, w.field, y)
+    want = adjoint_shift(system, p, w.field, y)
     assert np.max(np.abs(got - want)) <= STATE_TOL * np.max(np.abs(want))
 
 
 def test_undressed_coherent_states_stay_bitwise():
     alg, grid, w, p = state_setup()
     y = grid.nodes()
-    want = bits(ref_adjoint_shift(WeylSystem(alg), p, w.field, y))
+    want = bits(adjoint_shift(WeylSystem(alg), p, w.field, y))
     assert bits(coherent_state(alg, w, p)(y)) == want
     assert bits(mag_coherent(alg, zero_potential(3), w, p)(y)) == want
     assert bits(tau_system(alg, tau_e(3)).adjoint_shift(p, w.field)(y)) == want
@@ -172,7 +141,7 @@ def test_dressed_shift_is_bitwise_one_dressing_call(potential, budget, monkeypat
     monkeypatch.setattr(coherent, "BLOCK_ENTRIES", budget)
     for points in (x[7], x, x.reshape(6, 35, 3)):
         got = mag_weyl(alg, A, p, w.field)(points)
-        assert bits(got) == bits(ref_shift(system, p, w.field, points))
+        assert bits(got) == bits(shift(system, p, w.field, points))
 
 
 def test_dress_returns_the_values_of_an_undressed_system():
@@ -193,6 +162,6 @@ def test_coherent_rows_are_the_dressed_coherent_state_values():
     assert points.shape == (2, 3, len(x), 3) and values.shape == (2, 3, len(x))
     for zi, p_row, v_row in zip(z.reshape(-1, 3), points.reshape(-1, len(x), 3),
                                 values.reshape(-1, len(x))):
-        zx = alg.bch(zi, x)
-        assert bits(p_row) == bits(zx)
-        assert bits(v_row) == bits(w(zx) * np.exp(-1j * system.dressing(zx, x)))
+        want_points, want_values = coherent_rows(system, w, zi, x)
+        assert bits(p_row) == bits(want_points)
+        assert bits(v_row) == bits(want_values)

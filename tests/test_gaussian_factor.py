@@ -24,6 +24,8 @@ from nilquant.pseudodiff import op_quantize
 from nilquant.symbols import GaussianSymbol, SymbolError, XiOnlySymbol
 from nilquant.tau import berezin_tau, symmetric_tau
 
+from oracles import bits, gaussian_values
+
 TWO_PI = 2.0 * math.pi
 INTEGRAL_TOL = 1e-15
 TINY = np.finfo(float).smallest_subnormal
@@ -32,16 +34,6 @@ TINY = np.finfo(float).smallest_subnormal
 # ---------------------------------------------------------------------------
 # the replaced routes, as they were written
 # ---------------------------------------------------------------------------
-
-def ref_gaussian_values(amplitude, center, sigma, modulation, p):
-    """The closure `fields.gaussian` returned."""
-    d = (p - center) / sigma
-    quad = -0.5 * np.einsum("...i,...i->...", d, d)
-    if not np.any(modulation):
-        return np.multiply(amplitude, np.exp(quad), dtype=complex)
-    phase = np.einsum("...i,i->...", p, modulation)
-    return amplitude * np.exp(quad + 1j * phase)
-
 
 def ref_pair_exponent(sigma, center, phase, P, Q):
     """`symbols._pair_exponent`."""
@@ -116,13 +108,6 @@ class RefXiOnlySymbol(XiOnlySymbol):
         return ref_xi_only_pair_exponent(self.psi, P, Q)
 
 
-def bitwise(a, b) -> bool:
-    a, b = np.asarray(a), np.asarray(b)
-    return (a.shape == b.shape and a.dtype == b.dtype
-            and np.array_equal(np.atleast_1d(a).view(np.uint64),
-                               np.atleast_1d(b).view(np.uint64)))
-
-
 # ---------------------------------------------------------------------------
 # random Gaussians (the strategy of test_phase_free_and_reuse.py, with phases)
 # ---------------------------------------------------------------------------
@@ -159,13 +144,13 @@ def test_values_equal_the_replaced_evaluator(n, seed, sigma_scale, amplitude, ph
     rng, sigma, center, phase = draw(n, seed, sigma_scale, phased)
     p = center + 8.0 * sigma * rng.uniform(-1.0, 1.0, (6, 5, n))
     f = gaussian(n, sigma, center, phase, amplitude)
-    assert bitwise(f(p), ref_gaussian_values(amplitude, center, sigma, phase, p))
+    assert bits(f(p)) == bits(gaussian_values(amplitude, center, sigma, phase, p))
     unit = math.pi ** (-n / 4.0) / math.sqrt(float(np.prod(sigma)))
-    assert bitwise(gaussian(n, sigma, center, phase)(p),
-                   ref_gaussian_values(unit, center, sigma, phase, p))
+    assert bits(gaussian(n, sigma, center, phase)(p)) == bits(
+        gaussian_values(unit, center, sigma, phase, p))
     g = GaussianFactor.make(n, center, sigma, phase)
-    assert bitwise(g(p), ref_gaussian_values(1.0, center, sigma, phase, p))
-    assert bitwise(g(p[0, 0]), ref_gaussian_values(1.0, center, sigma, phase, p[0, 0]))
+    assert bits(g(p)) == bits(gaussian_values(1.0, center, sigma, phase, p))
+    assert bits(g(p[0, 0])) == bits(gaussian_values(1.0, center, sigma, phase, p[0, 0]))
 
 
 @settings(max_examples=60, deadline=None)
@@ -178,17 +163,17 @@ def test_transforms_and_pair_exponents_equal_the_replaced_routes(n, seed, sigma_
     xi_only = XiOnlySymbol(psi, n)
     x = rng.uniform(-1.0, 1.0, (4, 1, n))
     V = rng.uniform(-2.0, 2.0, (4, 3, n))
-    assert bitwise(sym.hat2(x, V), ref_hat2(sym, x, V))
-    assert bitwise(sym.check2(x, V), ref_hat2(sym, x, -V))
-    assert bitwise(xi_only.hat2(x, V), ref_xi_only_transform(psi, phase - V))
-    assert bitwise(psi.transform(V), ref_xi_only_transform(psi, phase - V))
+    assert bits(sym.hat2(x, V)) == bits(ref_hat2(sym, x, V))
+    assert bits(sym.check2(x, V)) == bits(ref_hat2(sym, x, -V))
+    assert bits(xi_only.hat2(x, V)) == bits(ref_xi_only_transform(psi, phase - V))
+    assert bits(psi.transform(V)) == bits(ref_xi_only_transform(psi, phase - V))
     # one node (n,) and a chunk of c nodes (c, 1, n)
     for z, P, Q in ((x[0, 0], V[0], V[1]), (x, V, rng.uniform(-2.0, 2.0, (4, 5, n)))):
         for got, want in ((sym.hat2_pair_exponent(z, P, Q), ref_hat2_pair_exponent(sym, z, P, Q)),
                           (xi_only.hat2_pair_exponent(z, P, Q),
                            ref_xi_only_pair_exponent(psi, P, Q))):
             assert type(got[0]) is type(want[0])
-            assert all(bitwise(a, b) for a, b in zip(got, want))
+            assert all(bits(a) == bits(b) for a, b in zip(got, want))
 
 
 @settings(max_examples=60, deadline=None)
@@ -205,7 +190,7 @@ def test_integral_equals_the_replaced_closed_form(n, seed, sigma_scale, amplitud
         spread = sym.gx.abs_power_integral(1.0) * sym.gxi.abs_power_integral(1.0)
         assert abs(got - want) <= INTEGRAL_TOL * abs(want) + spread * TINY
     else:
-        assert bitwise(np.complex128(got), np.complex128(want))
+        assert bits(np.complex128(got)) == bits(np.complex128(want))
 
 
 def test_factor_integral_is_the_quadrature():
@@ -242,11 +227,11 @@ def test_kernels_equal_those_of_the_replaced_routes(scheme, phased):
     center, sigma = np.array([0.2, -0.1, 0.3]), 0.9
     w = make_window(alg, grid, sigma, center)
     ref_window = Window.normalized(
-        Field(lambda p: ref_gaussian_values(
+        Field(lambda p: gaussian_values(
             math.pi ** (-3 / 4.0) / math.sqrt(float(np.prod(np.full(3, sigma)))), center,
             np.full(3, sigma),
             np.zeros(3), p), 3), grid)
-    assert bitwise(w(grid.nodes()), ref_window(grid.nodes()))
+    assert bits(w(grid.nodes())) == bits(ref_window(grid.nodes()))
     rng = np.random.default_rng(11 + phased)
     sym = random_symbol(rng, 3, 0.9 - 0.4j, phased)
     ref = RefGaussianSymbol(sym.amplitude, sym.gx, sym.gxi)
@@ -255,7 +240,7 @@ def test_kernels_equal_those_of_the_replaced_routes(scheme, phased):
     for got_sym, ref_sym in ((sym, ref), (XiOnlySymbol(psi, 3), RefXiOnlySymbol(psi, 3))):
         got = run(BerezinConfig(alg, w, grid, xi, got_sym))
         want = run(BerezinConfig(alg, ref_window, grid, xi, ref_sym))
-        assert bitwise(got, want)
+        assert bits(got) == bits(want)
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,6 @@ of real ones (upper-triangle blocks, mirrored) against the fused complex-exp
 loop, and the groups of z nodes along the central axes, their chunks and the
 batches of their row data against the per-node loop."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -24,91 +22,10 @@ from nilquant.symbols import (DeltaSymbol, GaussianSymbol, PhaseSymbol, SymbolEr
                               TranslatedSymbol, XOnlySymbol, XiOnlySymbol, XiSymbol)
 from nilquant.tau import berezin_tau, symmetric_tau, tau_e
 
+from oracles import (GROUP_TOL, coherent_rows, fused_complex_exp, per_node_split, rel_max,
+                     row_data, traced_peak)
+
 TOL = 1e-12
-
-
-def flat_nodes(z_nodes):
-    """The nodes of a flat (nodes, n) or grouped (groups, members, n) array,
-    in order."""
-    z_nodes = np.asarray(z_nodes, float)
-    return z_nodes.reshape(-1, z_nodes.shape[-1])
-
-
-def fused_complex_exp(symbol, z_nodes, z_weight, row_data, col_data=None):
-    """The per-node loop assemble_kernel ran before the real-exponential
-    split and the Hermitian half: exp(row_i + col_j - cross_ij) over one
-    complex m x k buffer, every entry computed.  Grouped nodes (groups,
-    members, n) are taken one node at a time."""
-    K = buf = None
-    for z in flat_nodes(z_nodes):
-        P, G = row_data(z)
-        Q, H = (P, G) if col_data is None else col_data(z)
-        pref, row, col, Xs, Qf = symbol.hat2_pair_exponent(z, P, Q)
-        cross = Xs @ Qf.T
-        with np.errstate(divide="ignore"):
-            row = row + np.log(np.asarray(G, dtype=complex))
-            col = col + np.conjugate(np.log(np.asarray(H, dtype=complex)))
-        if buf is None:
-            buf = np.empty(cross.shape, dtype=complex)
-            K = np.zeros(cross.shape, dtype=complex)
-        np.multiply(cross, -1.0, out=buf)
-        buf += row[:, None]
-        buf += col[None, :]
-        np.exp(buf, out=buf)
-        buf *= pref
-        K += buf
-    K *= z_weight
-    return K
-
-
-def per_node_split(symbol, z_nodes, z_weight, row_data, col_data=None):
-    """The loop assemble_kernel ran before z nodes were chunked: the same
-    real-exponential split and Hermitian half, one node at a time (grouped
-    nodes too)."""
-    half = col_data is None and symbol.real
-    spans = accs = None
-    for z in flat_nodes(z_nodes):
-        P, G = row_data(z)
-        Q, H = (P, G) if col_data is None else col_data(z)
-        pref, row, col, Xs, Qf = symbol.hat2_pair_exponent(z, P, Q)
-        with np.errstate(divide="ignore"):
-            row = row + np.log(np.asarray(G, dtype=complex))
-            col = col + np.conjugate(np.log(np.asarray(H, dtype=complex)))
-        (m, n), k = Xs.shape, len(Qf)
-        U = np.empty((m, n + 2))
-        np.negative(Xs, out=U[:, :n])
-        U[:, n] = row.real
-        U[:, n + 1] = 1.0
-        V = np.empty((k, n + 2))
-        V[:, :n] = Qf
-        V[:, n] = 1.0
-        V[:, n + 1] = col.real
-        rphase = pref * np.exp(1j * row.imag)
-        cphase = np.exp(1j * col.imag)
-        if accs is None:
-            bounds = _row_blocks(m) if half else [0, m]
-            spans = [(r0, r1, r0 if half else 0) for r0, r1 in zip(bounds, bounds[1:])]
-            shapes = [(r1 - r0, k - c0) for r0, r1, c0 in spans]
-            rexps = [np.empty(s) for s in shapes]
-            terms = [np.empty(s, dtype=complex) for s in shapes]
-            accs = [np.zeros(s, dtype=complex) for s in shapes]
-        for (r0, r1, c0), rexp, term, acc in zip(spans, rexps, terms, accs):
-            np.matmul(U[r0:r1], V[c0:].T, out=rexp)
-            np.exp(rexp, out=rexp)
-            np.multiply(rexp, rphase[r0:r1, None], out=term)
-            term *= cphase[None, c0:]
-            acc += term
-    if half:
-        K = np.empty((m, m), dtype=complex)
-        for (r0, r1, c0), acc in zip(spans, accs):
-            K[r0:r1, c0:] = acc
-        lower = np.tril_indices(m, -1)
-        K[lower] = np.conjugate(K.T[lower])
-        K.flat[::m + 1] = K.diagonal().real
-    else:
-        K = accs[0]
-    K *= z_weight
-    return K
 
 
 # -- set-ups ----------------------------------------------------------------
@@ -199,10 +116,6 @@ def reference(cfg, scheme, monkeypatch, loop=fused_complex_exp):
         return quantize(cfg, scheme)
 
 
-def relative_gap(K, ref):
-    return float(np.max(np.abs(K - ref))) / float(np.max(np.abs(ref)))
-
-
 # -- the split against the fused route ----------------------------------------
 
 @pytest.mark.parametrize("group", sorted(GROUPS))
@@ -214,7 +127,7 @@ def test_split_matches_fused_complex_exp(group, window, scheme, monkeypatch):
     ref = reference(cfg, scheme, monkeypatch)
     assert np.all(np.isfinite(K))
     assert np.max(np.abs(ref)) > 0
-    assert relative_gap(K, ref) <= TOL
+    assert rel_max(K, ref) <= TOL
 
 
 @pytest.mark.parametrize("group", sorted(GROUPS))
@@ -226,7 +139,7 @@ def test_narrow_window_underflows_to_zero(group, monkeypatch):
     # the outer entries underflow on both routes, the rest agree
     assert np.any(K == 0) and np.any(ref == 0)
     assert np.all(np.isfinite(K))
-    assert relative_gap(K, ref) <= TOL
+    assert rel_max(K, ref) <= TOL
 
 
 @pytest.mark.parametrize("group", sorted(GROUPS))
@@ -237,7 +150,7 @@ def test_vanishing_window_takes_log_zero_path(group, monkeypatch):
     assert any(np.any(v == 0) for v in values)
     K = berezin_matrix(cfg).kernel
     assert np.all(np.isfinite(K))
-    assert relative_gap(K, reference(cfg, "plain", monkeypatch)) <= TOL
+    assert rel_max(K, reference(cfg, "plain", monkeypatch)) <= TOL
 
 
 # -- the Hermitian half of real symbols ----------------------------------------
@@ -255,7 +168,7 @@ def test_half_matches_fused_complex_exp(group, window, scheme, monkeypatch):
     ref = reference(cfg, scheme, monkeypatch)
     assert np.all(np.isfinite(K))
     assert np.max(np.abs(ref)) > 0
-    assert relative_gap(K, ref) <= TOL
+    assert rel_max(K, ref) <= TOL
     assert np.array_equal(K, K.conj().T)
 
 
@@ -293,16 +206,13 @@ def test_half_at_odd_and_small_sizes(m):
     alg, grid, xi = abelian(1), Grid.box(1, 8.0, m), XiGrid.box(1, 8.0, 24)
     window = make_window(alg, grid, sigma=0.8, center=[0.9])
 
-    def row(z):
-        zx = alg.bch(z, grid.nodes())
-        return zx, window(zx)
-
+    row = row_data(WeylSystem(alg), window, grid.nodes())
     z_nodes, z_w = xi.g_grid.nodes(), xi.g_grid.weight
     symbol = real_off_centre_symbol(1)
     K = assemble_kernel(symbol, z_nodes, z_w, row)
     ref = fused_complex_exp(symbol, z_nodes, z_w, row)
     assert K.shape == (m, m)
-    assert relative_gap(K, ref) <= TOL
+    assert rel_max(K, ref) <= TOL
     assert np.array_equal(K, K.conj().T)
 
 
@@ -324,10 +234,7 @@ def test_block_mirror_is_bitwise_the_tril_index_mirror(m, monkeypatch):
     alg, grid, xi = abelian(1), Grid.box(1, 8.0, m), XiGrid.box(1, 8.0, 24)
     window = make_window(alg, grid, sigma=0.8, center=[0.9])
 
-    def row(z):
-        zx = alg.bch(z, grid.nodes())
-        return zx, window(zx)
-
+    row = row_data(WeylSystem(alg), window, grid.nodes())
     seen = []
     add_terms = berezin._add_terms
 
@@ -356,7 +263,7 @@ def test_one_complex_part_takes_the_full_block(group, complex_part, monkeypatch)
                  lambda n: real_off_centre_symbol(n, **complex_part))
     assert not cfg.symbol.real
     K = berezin_matrix(cfg).kernel
-    assert relative_gap(K, reference(cfg, "plain", monkeypatch)) <= TOL
+    assert rel_max(K, reference(cfg, "plain", monkeypatch)) <= TOL
     assert np.max(np.abs(K - K.conj().T)) > 1e-3 * np.max(np.abs(K))
 
 
@@ -406,15 +313,6 @@ def test_trivial_tau_and_zero_field_stay_bitwise_on_real_symbol(group):
 
 # -- the magnetic dressing over node blocks ---------------------------------------
 
-def per_node_rows(system, window, z, x):
-    """`WeylSystem.coherent_rows` with the dressing taken one node at a
-    time, as before it ran over node blocks."""
-    zx = system.alg.bch(z, x)
-    g = window(zx)
-    phase = np.stack([system.dressing(p, x) for p in zx.reshape((-1,) + zx.shape[-2:])])
-    return system.phase_points(z, zx), g * np.exp(-1j * phase.reshape(g.shape))
-
-
 DRESSINGS = {
     "linear3": linear3_potential(0.6),
     "linear3-degree-unknown": VectorPotential(linear3_potential(0.6).fn, degree=None),
@@ -430,7 +328,7 @@ def test_magnetic_dressing_blocks_are_bitwise_per_node(potential, budget, monkey
     cfg = config("heisenberg:1", "off_centre")
     A = DRESSINGS[potential]
     with monkeypatch.context() as m:
-        m.setattr(MagneticWeylSystem, "coherent_rows", per_node_rows)
+        m.setattr(MagneticWeylSystem, "coherent_rows", coherent_rows)
         want = mag_berezin(cfg, A).kernel
     monkeypatch.setattr(coherent, "BLOCK_ENTRIES", budget)
     assert mag_berezin(cfg, A).kernel.tobytes() == want.tobytes()
@@ -464,11 +362,6 @@ CHUNK_SYMBOLS = {"complex": off_centre_symbol, "real": real_off_centre_symbol,
                  "translated": translated_symbol, "xi_only": xi_only_symbol}
 CHUNK_SCHEMES = ["plain", "points", "covariance", "row", "tau", "magnetic"]
 
-# a group's member sum rounds differently from the node-by-node sum; these
-# comparisons held bitwise before the central z axes were summed in groups
-GROUP_TOL = 1e-13
-
-
 @pytest.mark.parametrize("group", sorted(GROUPS))
 @pytest.mark.parametrize("window", sorted(WINDOWS))
 @pytest.mark.parametrize("scheme", CHUNK_SCHEMES)
@@ -480,20 +373,13 @@ def test_chunks_match_per_node_loop(group, window, scheme, kind, monkeypatch):
     assert K.shape == ref.shape
     assert np.all(np.isfinite(K))
     assert np.max(np.abs(ref)) > 0
-    assert relative_gap(K, ref) <= GROUP_TOL
+    assert rel_max(K, ref) <= GROUP_TOL
 
 
-def recording(row_data, shapes):
+def recording(rows, shapes):
     def row(z):
         shapes.append(np.shape(z))
-        return row_data(z)
-    return row
-
-
-def plain_row(alg, window, points):
-    def row(z):
-        zx = alg.bch(z, points)
-        return zx, window(zx)
+        return rows(z)
     return row
 
 
@@ -520,11 +406,11 @@ def test_first_node_alone_then_chunks_of_the_rule(group):
     full, rest = divmod(groups, chunk)
     assert 1 < chunk and (groups == 1 or rest != 0)
     shapes = []
-    row = plain_row(alg, cfg.window, x)
+    row = row_data(WeylSystem(alg), cfg.window, x)
     K = assemble_kernel(cfg.symbol, z_nodes, z_w, recording(row, shapes))
     batches = [(chunk, members, 1, n)] * full + [(rest, members, 1, n)] * (rest > 0)
     assert shapes == [(n,)] + batches
-    assert relative_gap(K, per_node_split(cfg.symbol, z_nodes, z_w, row)) <= GROUP_TOL
+    assert rel_max(K, per_node_split(cfg.symbol, z_nodes, z_w, row)) <= GROUP_TOL
 
 
 @pytest.mark.parametrize("group", sorted(GROUPS))
@@ -536,10 +422,10 @@ def test_last_chunk_of_one_node(group):
     chunk = CHUNK_ENTRIES // (len(x) ** 2 + 2 * len(x))
     z_nodes, z_w = cfg.z_quadrature()[0][:chunk + 1], cfg.z_quadrature()[1]
     shapes = []
-    row = plain_row(alg, cfg.window, x)
+    row = row_data(WeylSystem(alg), cfg.window, x)
     K = assemble_kernel(cfg.symbol, z_nodes, z_w, recording(row, shapes))
     assert shapes == [(alg.dim,), (chunk, 1, 1, alg.dim), (1, 1, 1, alg.dim)]
-    assert relative_gap(K, per_node_split(cfg.symbol, z_nodes, z_w, row)) <= GROUP_TOL
+    assert rel_max(K, per_node_split(cfg.symbol, z_nodes, z_w, row)) <= GROUP_TOL
 
 
 def test_one_pair_exponent_call_per_chunk(monkeypatch):
@@ -558,12 +444,12 @@ def test_one_pair_exponent_call_per_chunk(monkeypatch):
         return pair(self, z, P, Q)
 
     monkeypatch.setattr(GaussianSymbol, "hat2_pair_exponent", counted)
-    row, col = plain_row(alg, window, x[:1]), plain_row(alg, window, x)
+    row, col = row_data(WeylSystem(alg), window, x[:1]), row_data(WeylSystem(alg), window, x)
     flat = assemble_kernel(symbol, xi.g_grid.nodes(), xi.g_grid.weight, row, col)
     assert calls == [((32, 1, 1), (32, 1, 1))]
     grouped = assemble_kernel(symbol, xi.g_grid.grouped_nodes((0,)), xi.g_grid.weight, row, col)
     assert calls[1:] == [((1, 32, 1), (1, 1, 1))]
-    assert relative_gap(grouped, flat) <= GROUP_TOL
+    assert rel_max(grouped, flat) <= GROUP_TOL
 
 
 def batch_of(m, k, members=1):
@@ -592,14 +478,14 @@ def test_one_node_per_chunk_at_large_m(kind, monkeypatch):
         terms.append(groups.stop - groups.start)
         add_terms(blocks, accs, groups)
 
-    row = plain_row(alg, window, grid.nodes())
+    row = row_data(WeylSystem(alg), window, grid.nodes())
     with monkeypatch.context() as m:
         m.setattr(berezin, "_add_terms", recorded)
         K = assemble_kernel(symbol, z_grid.nodes(), z_grid.weight, recording(row, shapes))
     ref = per_node_split(symbol, z_grid.nodes(), z_grid.weight, row)
     assert shapes == [(1,)] + [(batch, 1, 1, 1)] * full + [(rest, 1, 1, 1)]
     assert terms == [1] * z_grid.size
-    assert relative_gap(K, ref) <= GROUP_TOL
+    assert rel_max(K, ref) <= GROUP_TOL
 
 
 def h1_large(symbol):
@@ -627,16 +513,7 @@ def test_h1_batches_match_per_node_loop(kind, scheme, monkeypatch):
     ref = reference(cfg, scheme, monkeypatch, per_node_split)
     assert np.all(np.isfinite(K))
     assert np.max(np.abs(ref)) > 0
-    assert relative_gap(K, ref) <= GROUP_TOL
-
-
-def traced_peak(assemble, *args):
-    tracemalloc.start()
-    try:
-        assemble(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    assert rel_max(K, ref) <= GROUP_TOL
 
 
 @pytest.mark.parametrize("kind", ["real", "complex"])
@@ -650,7 +527,7 @@ def test_h1_one_node_chunks_peak_no_higher_than_per_node_loop(kind):
     grid, z_grid = Grid.box(3, 4.5, 7), Grid.box(3, 3.5, 3)
     window = make_window(alg, grid)
     symbol = CHUNK_SYMBOLS[kind](3)
-    row = plain_row(alg, window, grid.nodes())
+    row = row_data(WeylSystem(alg), window, grid.nodes())
     assert CHUNK_ENTRIES // (grid.size ** 2 + 2 * grid.size) < 1
     assert z_grid.size // batch_of(grid.size, grid.size) >= 2
     for z_nodes in (z_grid.nodes(), z_grid.grouped_nodes(alg.central_axes)):
@@ -675,5 +552,5 @@ def test_line_row_chunk_memory_is_bounded(nodes):
     x = grid.nodes()
     for z_nodes in (z_grid.nodes(), z_grid.grouped_nodes((0,))):
         args = (real_off_centre_symbol(1), z_nodes, z_grid.weight,
-                plain_row(alg, window, x[:1]), plain_row(alg, window, x))
+                row_data(WeylSystem(alg), window, x[:1]), row_data(WeylSystem(alg), window, x))
         assert traced_peak(assemble_kernel, *args) < 4 * CHUNK_ENTRIES * 24

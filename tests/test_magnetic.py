@@ -23,13 +23,9 @@ from nilquant.magnetic import (GL_ORDER, MagneticField, VectorPotential, circula
                                zero_potential)
 from nilquant.symbols import GaussianSymbol
 from nilquant.transforms import inner, l2_norm
+from nilquant.verify import plane_setup as plane
 
-
-def plane(N=24):
-    alg = abelian(2)
-    grid = Grid.box(2, 6.0, N)
-    xi = XiGrid.box(2, 6.0, N)
-    return alg, grid, xi, make_window(alg, grid)
+from oracles import rel_max
 
 
 def test_segment_endpoints_and_midpoint():
@@ -378,10 +374,6 @@ def full_rule(A):
     return dataclasses.replace(A, degree=None)
 
 
-def relative_gap(got, ref):
-    return float(np.max(np.abs(got - ref)) / np.max(np.abs(ref)))
-
-
 def quadratic_potential():
     """The degree-2 potential of the kernel-assembly tests."""
     return VectorPotential(lambda p: 0.5 * p + 0.2 * p ** 2, name="quadratic", degree=2)
@@ -486,9 +478,9 @@ def test_random_affine_potentials_match_the_full_rule(alg):
         x = rng.uniform(-3.0, 3.0, (50, n))
         z = rng.uniform(-1.5, 1.5, n)
         back = alg.bch(alg.inv(z), x)
-        assert relative_gap(circulation(A, x, back),
+        assert rel_max(circulation(A, x, back),
                             circulation(full_rule(A), x, back)) <= RULE_TOL
-        assert relative_gap(mag_translation(alg, A, z, u)(x),
+        assert rel_max(mag_translation(alg, A, z, u)(x),
                             mag_translation(alg, full_rule(A), z, u)(x)) <= RULE_TOL
 
 
@@ -498,9 +490,9 @@ def test_degree_two_potential_takes_two_points():
         A = quadratic_potential()
         x, y = rng.uniform(-3.0, 3.0, (2, 40, n))
         ref = circulation(full_rule(A), x, y)
-        assert relative_gap(circulation(A, x, y), ref) <= RULE_TOL
+        assert rel_max(circulation(A, x, y), ref) <= RULE_TOL
         # the midpoint alone misses the quadratic part
-        assert relative_gap(circulation(dataclasses.replace(A, degree=1), x, y), ref) > 1e-3
+        assert rel_max(circulation(dataclasses.replace(A, degree=1), x, y), ref) > 1e-3
 
 
 def test_flux_triangle_sized_rule():
@@ -547,4 +539,4 @@ def test_mag_berezin_kernels_match_the_full_rule_at_m343():
         assert pot.circulation_points == 1
         K = mag_berezin(cfg, pot).kernel
         assert K.shape == (343, 343)
-        assert relative_gap(K, mag_berezin(cfg, full_rule(pot)).kernel) <= RULE_TOL
+        assert rel_max(K, mag_berezin(cfg, full_rule(pot)).kernel) <= RULE_TOL

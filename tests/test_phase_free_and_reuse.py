@@ -14,14 +14,16 @@ from hypothesis import strategies as st
 from nilquant import coherent, covariant
 from nilquant.algebra import abelian, heisenberg
 from nilquant.berezin import BerezinConfig
-from nilquant.coherent import (NyquistWarning, PhasePoint, bargmann, coherent_state,
+from nilquant.coherent import (NyquistWarning, PhasePoint, coherent_state,
                                coherent_state_bank, make_window)
 from nilquant.covariant import (berezin_transform, berezin_transform_nodes, cov_diagonal,
                                 cov_full, kernel_from_cov)
-from nilquant.fields import gaussian, sample_xi
+from nilquant.fields import gaussian
 from nilquant.grids import Grid, XiGrid
 from nilquant.operators import OperatorMatrix
 from nilquant.symbols import GaussianFactor, GaussianSymbol
+
+from oracles import BT_TOL, bt_case, complex_gaussian, per_point_bt, rel_max
 
 # The rounding budget of the two routes.  numpy's real and complex exp are
 # each within one ulp of exp(quad), so they may differ by 2 ulps; the
@@ -29,20 +31,12 @@ from nilquant.symbols import GaussianFactor, GaussianSymbol
 # them.  An ulp is at most eps = 2^-52 of the value it belongs to, so the
 # routes agree to 3 eps relative; observed gaps reach 4.2e-16.
 REAL_EXP_TOL = 3 * np.finfo(float).eps
-BT_TOL = 1e-12
 TINY = np.finfo(float).smallest_subnormal
 
 
 # ---------------------------------------------------------------------------
 # phase-free Gaussians: one real exp
 # ---------------------------------------------------------------------------
-
-def complex_formula(amplitude, center, sigma, phase, p):
-    """The evaluation both Gaussians made before the phase-free path."""
-    d = (p - center) / sigma
-    quad = -0.5 * np.einsum("...i,...i->...", d, d)
-    return amplitude * np.exp(quad + 1j * np.einsum("...i,i->...", p, phase))
-
 
 def assert_real_exp_matches(got, want, amplitude):
     assert got.dtype == complex and got.shape == want.shape
@@ -73,11 +67,11 @@ def test_phase_free_gaussian_field_takes_the_real_exp(n, seed, sigma_scale, ampl
     p[0, 0] = center  # the peak
     for modulation in (None, np.zeros(n)):
         f = gaussian(n, sigma, center, modulation, amplitude)
-        assert_real_exp_matches(f(p), complex_formula(amplitude, center, sigma, np.zeros(n), p),
+        assert_real_exp_matches(f(p), complex_gaussian(amplitude, center, sigma, np.zeros(n), p),
                                 amplitude)
     unit = math.pi ** (-n / 4.0) / math.sqrt(float(np.prod(sigma)))  # the default amplitude
     assert_real_exp_matches(gaussian(n, sigma, center)(p),
-                            complex_formula(unit, center, sigma, np.zeros(n), p), unit)
+                            complex_gaussian(unit, center, sigma, np.zeros(n), p), unit)
 
 
 @settings(max_examples=60, deadline=None)
@@ -88,7 +82,7 @@ def test_phase_free_gaussian_factor_takes_the_real_exp(n, seed, sigma_scale, amp
     g = GaussianFactor.make(n, rng.uniform(-3.0, 3.0, n),
                             sigma_scale * rng.uniform(0.5, 2.0, n))
     t = g.center + reach * g.sigma * rng.uniform(-1.0, 1.0, (6, 4, n))
-    assert_real_exp_matches(g(t), complex_formula(1.0, g.center, g.sigma, g.phase, t), 1.0)
+    assert_real_exp_matches(g(t), complex_gaussian(1.0, g.center, g.sigma, g.phase, t), 1.0)
     one = g(t[0, 0])
     assert np.ndim(one) == 0 and np.iscomplexobj(one)
 
@@ -96,10 +90,10 @@ def test_phase_free_gaussian_factor_takes_the_real_exp(n, seed, sigma_scale, amp
 def test_phased_gaussians_keep_the_complex_formula():
     p = np.linspace(-4.0, 4.0, 30).reshape(15, 2)
     f = gaussian(2, [0.8, 1.3], [0.2, -0.1], [0.0, 0.7], 1.5)
-    assert np.array_equal(f(p), complex_formula(1.5, np.array([0.2, -0.1]),
+    assert np.array_equal(f(p), complex_gaussian(1.5, np.array([0.2, -0.1]),
                                                 np.array([0.8, 1.3]), np.array([0.0, 0.7]), p))
     g = GaussianFactor.make(2, [0.2, -0.1], [0.8, 1.3], [0.4, 0.0])
-    assert np.array_equal(g(p), complex_formula(1.0, g.center, g.sigma, g.phase, p))
+    assert np.array_equal(g(p), complex_gaussian(1.0, g.center, g.sigma, g.phase, p))
 
 
 # ---------------------------------------------------------------------------
@@ -221,40 +215,12 @@ def test_cov_diagonal_matches_the_column_contraction(group):
     got = cov_diagonal(T, cfg.algebra, cfg.window, cfg.xi_grid)
     want = column_cov_diagonal(T, cfg.algebra, cfg.window, cfg.xi_grid)
     assert got.shape == (cfg.xi_grid.size,)
-    assert relative_gap(got, want) <= 1e-13
+    assert rel_max(got, want) <= 1e-13
 
 
 # ---------------------------------------------------------------------------
 # the Berezin transform: one batch against one Bargmann transform per point
 # ---------------------------------------------------------------------------
-
-def per_point_bt(cfg, p):
-    """The route berezin_transform took before the batch: the full Bargmann
-    transform of the coherent state at p, then the Xi quadrature."""
-    overlaps = bargmann(cfg.algebra, cfg.window, coherent_state(cfg.algebra, cfg.window, p),
-                        cfg.xi_grid, cfg.g_grid)
-    fvals = sample_xi(cfg.symbol, cfg.xi_grid).values
-    return complex(cfg.xi_grid.weight * np.sum(fvals * np.abs(overlaps.values) ** 2))
-
-
-def bt_case(group):
-    if group == "line":
-        alg, n = abelian(1), 1
-        grid, xi = Grid.box(1, 10.0, 64), XiGrid.box(1, 10.0, 64, 9.0, 48)
-        coarse = XiGrid.box(1, 6.0, 5, 3.0, 7)
-    else:
-        alg, n = heisenberg(), 3
-        grid, xi = Grid.box(3, 3.0, 5), XiGrid.box(3, 3.0, 4, 2.0, 3)
-        coarse = XiGrid.box(3, 2.0, 2, 1.5, 2)
-    w = make_window(alg, grid, 0.9, 0.1 * np.arange(1, n + 1))
-    sym = GaussianSymbol.make(n, amplitude=1.2 - 0.4j, x_center=0.2, x_sigma=1.1,
-                              x_phase=0.3, xi_center=-0.1, xi_sigma=0.9, xi_phase=0.2)
-    return BerezinConfig(alg, w, grid, xi, sym), coarse
-
-
-def relative_gap(got, want):
-    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
-
 
 @pytest.mark.parametrize("group", ["line", "h1"])
 @pytest.mark.parametrize("chunk", ["one block", "one dual node per block"])
@@ -266,7 +232,7 @@ def test_batched_bt_matches_per_point_route(group, chunk, monkeypatch):
     z, zeta = coarse.node_pairs()
     want = np.array([per_point_bt(cfg, PhasePoint(a, b)) for a in z for b in zeta])
     assert got.shape == (coarse.size,) and got.dtype == complex
-    assert relative_gap(got, want) <= BT_TOL
+    assert rel_max(got, want) <= BT_TOL
     p = PhasePoint(z[-1], zeta[1])
     one = berezin_transform(cfg, p)
     assert type(one) is complex and abs(one - per_point_bt(cfg, p)) <= BT_TOL * abs(one)

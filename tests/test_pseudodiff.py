@@ -14,14 +14,9 @@ from nilquant.pseudodiff import (WeylOperator, berezin_symbol, hs_unitarity_rati
                                  symbol_of_regularizing)
 from nilquant.symbols import (GaussianSymbol, PhaseSymbol, SymbolError, XOnlySymbol,
                               XiOnlySymbol)
-from nilquant.transforms import dual_phase_points
+from nilquant.verify import line_setup as line
 
-
-def line(N=128):
-    alg = abelian(1)
-    grid = Grid.box(1, 10.0, N)
-    xi = XiGrid.box(1, 10.0, N)
-    return alg, grid, xi, make_window(alg, grid)
+from oracles import bits, op_kernel_rows
 
 
 def test_x_only_symbol_gives_multiplication():
@@ -56,17 +51,12 @@ def test_xi_only_symbol_gives_convolution():
     assert np.max(np.abs(diag - diag[0])) < 1e-8 * np.max(np.abs(K))
 
 
-def ref_op_from_profile(alg, symbol, grid, dual_grid):
-    """The per-row loop op_quantize ran for a symbol without a closed-form
-    transform, written out."""
-    x = grid.nodes()
-    V = alg.bch(x[:, None, :], -x[None, :, :])
-    zeta = dual_grid.nodes()
-    K = np.empty((len(x), len(x)), dtype=complex)
-    for i in range(len(x)):
-        avals = symbol(np.broadcast_to(x[i], zeta.shape), zeta)
-        K[i] = dual_grid.weight * dual_phase_points(avals, V[i], dual_grid, 1)
-    return K
+def profile_kernel(alg, symbol, grid, dual_grid):
+    """The Op kernel of a symbol sampled on the dual grid at every x node,
+    one row at a time."""
+    x, zeta = grid.nodes(), dual_grid.nodes()
+    samples = np.stack([symbol(np.broadcast_to(xi, zeta.shape), zeta) for xi in x])
+    return op_kernel_rows(alg, samples, grid, dual_grid)
 
 
 @pytest.mark.parametrize("alg", [abelian(1), heisenberg()], ids=lambda a: a.name)
@@ -80,8 +70,7 @@ def test_sampled_profile_takes_op_quantize_samples(alg):
                     n, "dual")
     sym = XiOnlySymbol(None, n, psi_field=profile)
     op = op_quantize(alg, sym, grid, dual)
-    K = ref_op_from_profile(alg, sym, grid, dual)
-    assert np.array_equal(op.kernel.view(np.uint64), K.view(np.uint64))
+    assert bits(op.kernel) == bits(profile_kernel(alg, sym, grid, dual))
     with pytest.raises(SymbolError):
         op_quantize(alg, sym, grid)
 
@@ -94,7 +83,7 @@ def test_dual_grid_fallback_builds_the_products_once(monkeypatch):
     dual = Grid.box(3, 2.5, 4, dual=True)
     sym = XiOnlySymbol(None, 3, psi_field=gaussian(3, 0.8, [0.2, -0.1, 0.3],
                                                    [0.5, 0.0, -0.4], domain="dual"))
-    want = ref_op_from_profile(alg, sym, grid, dual)
+    want = profile_kernel(alg, sym, grid, dual)
     shapes = []
     bch = LieAlgebra.bch
 
@@ -106,7 +95,7 @@ def test_dual_grid_fallback_builds_the_products_once(monkeypatch):
     monkeypatch.setattr(LieAlgebra, "bch", counting_bch)
     op = op_quantize(alg, sym, grid, dual)
     assert shapes.count((125, 125, 3)) == 1
-    assert np.array_equal(op.kernel.view(np.uint64), want.view(np.uint64))
+    assert bits(op.kernel) == bits(want)
 
 
 def test_hs_unitarity():

@@ -3,7 +3,6 @@ routes built on them, against the dense phase matrices they replaced, on the
 line, H1 and the Engel group, with unequal counts per axis, group counts
 different from dual counts, and both signs."""
 
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -12,72 +11,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nilquant.algebra import abelian, engel, heisenberg
-from nilquant.coherent import (NyquistWarning, bargmann, bargmann_adjoint, fourier_wigner,
-                               make_window)
+from nilquant.coherent import (NyquistWarning, WeylSystem, bargmann, bargmann_adjoint,
+                               fourier_wigner, make_window)
 from nilquant.fields import DOMAIN_DUAL, XiSamples, gaussian
 from nilquant.grids import Grid, XiGrid
-from nilquant.magnetic import circulation, linear3_potential, mag_wigner, zero_potential
+from nilquant.magnetic import linear3_potential, mag_wigner, magnetic_system, zero_potential
 from nilquant.pseudodiff import op_quantize, op_quantize_samples
 from nilquant.symbols import XiOnlySymbol
 from nilquant.transforms import (_axis_phase_factors, dual_phase_from_points, dual_phase_grid,
                                  dual_phase_points)
 
+import oracles
+from oracles import phase_matrix, rel_max, traced_peak
+
 TOL = 1e-12
 #: the points -> dual-grid sum against its literal dense sum
 FROM_POINTS_TOL = 1e-13
-
-
-# -- the dense routes the separable ones replaced ----------------------------
-
-def dense_points(h, x, dual_grid, sign):
-    return np.exp(sign * 1j * (x @ dual_grid.nodes().T)) @ h
-
-
-def dense_grid(g, y_grid, dual_grid, sign):
-    return g @ np.exp(sign * 1j * (y_grid.nodes() @ dual_grid.nodes().T))
-
-
-def dense_from_points(g, x, dual_grid, sign):
-    """One row: the values at the points times the dense phase matrix."""
-    return g @ np.exp(sign * 1j * (x @ dual_grid.nodes().T))
-
-
-def dense_fourier_wigner(alg, u, v, g_grid, xi_grid):
-    z_nodes = xi_grid.g_grid.nodes()
-    y = g_grid.nodes()
-    shifted = alg.bch(alg.inv(z_nodes)[:, None, :], y[None, :, :])
-    g_zy = u(shifted) * np.conjugate(v(y))[None, :]
-    return g_grid.weight * dense_grid(g_zy, g_grid, xi_grid.dual_grid, 1)
-
-
-def dense_mag_wigner(alg, A, u, v, g_grid, xi_grid):
-    z_nodes = xi_grid.g_grid.nodes()
-    y = g_grid.nodes()
-    shifted = alg.bch(alg.inv(z_nodes)[:, None, :], y[None, :, :])
-    circ = np.array([circulation(A, y, shifted[i]) for i in range(len(z_nodes))])
-    g_zy = u(shifted) * np.conjugate(v(y))[None, :] * np.exp(1j * circ)
-    return g_grid.weight * dense_grid(g_zy, g_grid, xi_grid.dual_grid, 1)
-
-
-def dense_bargmann_adjoint(alg, w, h, targets):
-    z_nodes, zeta_nodes = h.xi_grid.node_pairs()
-    acc = np.zeros(len(targets), dtype=complex)
-    for i, z in enumerate(z_nodes):
-        zx = alg.bch(z, targets)
-        acc += w(zx) * (np.exp(-1j * (zx @ zeta_nodes.T)) @ h.values[i, :])
-    return h.xi_grid.weight * acc
-
-
-def dense_op_kernel(alg, a_samples, grid, dual_grid):
-    x = grid.nodes()
-    zeta = dual_grid.nodes()
-    V = alg.bch(x[:, None, :], -x[None, :, :])
-    return np.stack([dual_grid.weight * (np.exp(1j * (V[i] @ zeta.T)) @ a_samples[i])
-                     for i in range(len(x))])
-
-
-def rel_max(got, want):
-    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
 
 
 # -- set-ups: per group an operator (y) grid, a phase-space z grid and a dual
@@ -104,14 +53,6 @@ def case(name):
     return alg, y_grid, XiGrid(z_grid, dual_grid), u, v
 
 
-@pytest.fixture(autouse=True)
-def nyquist_is_an_error():
-    # every set-up above keeps its dual box inside the Nyquist band
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", NyquistWarning)
-        yield
-
-
 # -- the two helper forms ----------------------------------------------------
 
 @pytest.mark.parametrize("name", CASES)
@@ -122,7 +63,7 @@ def test_grid_form_matches_dense(name, sign):
     g = rng.normal(size=(5, y_grid.size)) + 1j * rng.normal(size=(5, y_grid.size))
     got = dual_phase_grid(g, y_grid, xi.dual_grid, sign)
     assert got.shape == (5, xi.dual_grid.size)
-    assert rel_max(got, dense_grid(g, y_grid, xi.dual_grid, sign)) <= TOL
+    assert rel_max(got, g @ phase_matrix(y_grid.nodes(), xi.dual_grid, sign)) <= TOL
 
 
 @pytest.mark.parametrize("name", CASES)
@@ -135,7 +76,7 @@ def test_point_form_matches_dense(name, sign):
     h = rng.normal(size=dual.size) + 1j * rng.normal(size=dual.size)
     got = dual_phase_points(h, x, dual, sign)
     assert got.shape == (37,)
-    assert rel_max(got, dense_points(h, x, dual, sign)) <= TOL
+    assert rel_max(got, phase_matrix(x, dual, sign) @ h) <= TOL
 
 
 # one dual grid per dimension, every axis with its own count
@@ -158,7 +99,7 @@ def test_from_points_form_matches_dense(n, sign, batch, shared):
     if shared:
         x[:, :, :-1] = x[0, :, :-1]
     g = rng.normal(size=(rows, 37)) + 1j * rng.normal(size=(rows, 37))
-    want = np.stack([dense_from_points(g[b], x[b], dual, sign) for b in range(rows)])
+    want = np.stack([g[b] @ phase_matrix(x[b], dual, sign) for b in range(rows)])
     if batch is None:
         got = dual_phase_from_points(g[0], x[0], dual, sign)[None]
     else:
@@ -200,13 +141,13 @@ def test_random_box_grids(n, sign, data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
     g = rng.normal(size=(3, y_grid.size)) + 1j * rng.normal(size=(3, y_grid.size))
     assert rel_max(dual_phase_grid(g, y_grid, dual, sign),
-                   dense_grid(g, y_grid, dual, sign)) <= TOL
+                   g @ phase_matrix(y_grid.nodes(), dual, sign)) <= TOL
     x = rng.uniform(-4.0, 4.0, (int(rng.integers(1, 20)), n))
     h = rng.normal(size=dual.size) + 1j * rng.normal(size=dual.size)
-    assert rel_max(dual_phase_points(h, x, dual, sign), dense_points(h, x, dual, sign)) <= TOL
+    assert rel_max(dual_phase_points(h, x, dual, sign), phase_matrix(x, dual, sign) @ h) <= TOL
     gx = rng.normal(size=len(x)) + 1j * rng.normal(size=len(x))
     assert rel_max(dual_phase_from_points(gx, x, dual, sign),
-                   dense_from_points(gx, x, dual, sign)) <= FROM_POINTS_TOL
+                   gx @ phase_matrix(x, dual, sign)) <= FROM_POINTS_TOL
 
 
 # -- the routes built on them ------------------------------------------------
@@ -216,14 +157,15 @@ def test_fourier_wigner_matches_dense(name):
     alg, y_grid, xi, u, v = case(name)
     got = fourier_wigner(alg, u, v, y_grid, xi).values
     assert got.shape == (xi.g_grid.size, xi.dual_grid.size)
-    assert rel_max(got, dense_fourier_wigner(alg, u, v, y_grid, xi)) <= TOL
+    assert rel_max(got, oracles.wigner(WeylSystem(alg), u, v, y_grid, *xi.node_pairs())) <= TOL
 
 
 def test_mag_wigner_matches_dense():
     alg, y_grid, xi, u, v = case("heisenberg:1")
     A = linear3_potential(0.6)
     got = mag_wigner(alg, A, u, v, y_grid, xi).values
-    assert rel_max(got, dense_mag_wigner(alg, A, u, v, y_grid, xi)) <= TOL
+    want = oracles.wigner(magnetic_system(alg, A), u, v, y_grid, *xi.node_pairs())
+    assert rel_max(got, want) <= TOL
 
 
 def test_mag_wigner_zero_potential_is_bitwise_fourier_wigner():
@@ -239,7 +181,7 @@ def test_bargmann_adjoint_matches_dense(name):
     h = bargmann(alg, w, u, xi, y_grid)
     targets = y_grid.nodes()[::3]
     got = bargmann_adjoint(alg, w, h, targets)
-    assert rel_max(got, dense_bargmann_adjoint(alg, w, h, targets)) <= TOL
+    assert rel_max(got, oracles.bargmann_adjoint(alg, w, h, targets)) <= TOL
 
 
 @pytest.mark.parametrize("name", CASES)
@@ -249,7 +191,7 @@ def test_op_quantize_samples_matches_dense(name):
     rng = np.random.default_rng(5)
     a = rng.normal(size=(grid.size, dual.size)) + 1j * rng.normal(size=(grid.size, dual.size))
     got = op_quantize_samples(alg, a, grid, dual).kernel
-    assert rel_max(got, dense_op_kernel(alg, a, grid, dual)) <= TOL
+    assert rel_max(got, oracles.op_kernel(alg, a, grid, dual)) <= TOL
 
 
 def test_op_quantize_dual_grid_fallback_matches_dense():
@@ -258,7 +200,7 @@ def test_op_quantize_dual_grid_fallback_matches_dense():
     psi = gaussian(3, 0.8, [0.2, -0.1, 0.3], [0.5, 0.0, -0.4], domain=DOMAIN_DUAL)
     symbol = XiOnlySymbol(None, 3, psi_field=psi)
     a = symbol(np.zeros((dual.size, 3)), dual.nodes())
-    want = dense_op_kernel(alg, np.broadcast_to(a, (grid.size, dual.size)), grid, dual)
+    want = oracles.op_kernel(alg, np.broadcast_to(a, (grid.size, dual.size)), grid, dual)
     assert rel_max(op_quantize(alg, symbol, grid, dual).kernel, want) <= TOL
 
 
@@ -288,10 +230,5 @@ def test_bargmann_adjoint_builds_no_targets_by_dual_matrix():
     rng = np.random.default_rng(7)
     h = XiSamples(xi, rng.normal(size=(216, 343)) + 1j * rng.normal(size=(216, 343)))
     bargmann_adjoint(alg, w, h, targets[:2])        # compile the BCH program first
-    tracemalloc.start()
-    try:
-        bargmann_adjoint(alg, w, h, targets)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(bargmann_adjoint, alg, w, h, targets)
     assert peak < len(targets) * xi.dual_grid.size * np.dtype(complex).itemsize

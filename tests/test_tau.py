@@ -14,13 +14,7 @@ from nilquant.tau import (TauMap, berezin_tau, coherent_tau, covariance_residual
                           op_quantize_tau, resolve_tau, scaled_tau, symmetric_tau,
                           tau_e, tau_id, tau_tilde, weyl_tau, wigner_tau)
 from nilquant.transforms import inner, l2_norm
-
-
-def line(N=96):
-    alg = abelian(1)
-    grid = Grid.box(1, 10.0, N)
-    xi = XiGrid.box(1, 10.0, N)
-    return alg, grid, xi, make_window(alg, grid)
+from nilquant.verify import line_setup as line
 
 
 def test_tau_tilde_of_trivial_is_identity():
@@ -110,7 +104,7 @@ def test_op_tau_e_vs_id_adjoint_related_abelian():
 
 
 def test_weyl_tau_trivial_reduction_bitwise():
-    alg, grid, xi, w = line()
+    alg, grid, xi, w = line(N=96)
     rng = np.random.default_rng(5)
     u = random_gaussian(rng, 1)
     p = PhasePoint([0.4], [0.9])
@@ -146,7 +140,7 @@ def test_weyl_tau_id_is_opposite_ordering():
 
 def test_weyl_tau_abelian_symmetric_shift():
     # tau(x) = x/2 gives the symmetric shift e^{i zeta (x - z/2)} u(x - z)
-    alg, grid, xi, w = line()
+    alg, grid, xi, w = line(N=96)
     rng = np.random.default_rng(8)
     u = random_gaussian(rng, 1)
     z, zeta = 0.8, -1.3
@@ -158,7 +152,7 @@ def test_weyl_tau_abelian_symmetric_shift():
 
 
 def test_weyl_tau_unitary():
-    alg, grid, xi, w = line()
+    alg, grid, xi, w = line(N=96)
     u = coherent_state(alg, w, PhasePoint([0.2], [0.4]))
     p = PhasePoint([0.5], [-0.7])
     for tau in (tau_id(), symmetric_tau(alg)):
@@ -167,7 +161,7 @@ def test_weyl_tau_unitary():
 
 
 def test_coherent_tau_normalized_and_consistent():
-    alg, grid, xi, w = line()
+    alg, grid, xi, w = line(N=96)
     p = PhasePoint([0.6], [0.3])
     for tau in (tau_id(), symmetric_tau(alg)):
         state = coherent_tau(alg, tau, w, p)

@@ -1,9 +1,9 @@
 """One Weyl system behind the plain, tau-ordered and magnetic quantizers.
 
-The reference functions below are the per-variant bodies the shared routes
-replaced (shift, coherent state, Fourier-Wigner transform and Berezin kernel
-row).  The shared routes must match them at 1e-12 relative max-abs, be
-bitwise equal to the plain bodies, and reduce bitwise for tau = e and A = 0.
+The shared routes (shift, coherent state, Fourier-Wigner transform and
+Berezin kernel row) must match the dense oracles at 1e-12 relative max-abs,
+be bitwise equal to the plain bodies they replaced, and reduce bitwise for
+tau = e and A = 0.
 """
 
 import importlib
@@ -20,7 +20,7 @@ from nilquant.coherent import (NyquistWarning, PhasePoint, WeylSystem, coherent_
                                fourier_wigner, make_window, weyl, weyl_adjoint)
 from nilquant.fields import gaussian, random_gaussian
 from nilquant.grids import Grid, XiGrid
-from nilquant.magnetic import (circulation, landau_potential, linear3_potential, mag_berezin,
+from nilquant.magnetic import (landau_potential, linear3_potential, mag_berezin,
                                mag_coherent, mag_translation, mag_weyl, mag_wigner,
                                magnetic_system, zero_potential)
 from nilquant.operators import OperatorMatrix
@@ -28,116 +28,10 @@ from nilquant.symbols import (DeltaSymbol, GaussianSymbol, PhaseSymbol, SymbolEr
                               XOnlySymbol)
 from nilquant.tau import (berezin_tau, coherent_tau, scaled_tau, symmetric_tau, tau_e,
                           tau_system, weyl_tau, wigner_tau)
-from nilquant.transforms import dual_phase_grid
+
+from oracles import adjoint_shift, rel_max, row_data, shift, whole_grid_wigner, wigner
 
 TOL = 1e-12
-
-
-# -- the pre-change bodies ------------------------------------------------------
-
-def einsum_phase(points, zeta):
-    return np.einsum("...i,i->...", points, zeta)
-
-
-def ref_weyl(alg, p, u):
-    zinv, zeta = alg.inv(p.zv), p.zetav
-    return lambda x: np.exp(1j * einsum_phase(x, zeta)) * u(alg.bch(zinv, x))
-
-
-def ref_weyl_adjoint(alg, p, u):
-    z, zeta = p.zv, p.zetav
-
-    def fn(y):
-        zy = alg.bch(z, y)
-        return np.exp(-1j * einsum_phase(zy, zeta)) * u(zy)
-    return fn
-
-
-def ref_fourier_wigner(alg, u, v, g_grid, xi_grid):
-    z_nodes, _ = xi_grid.node_pairs()
-    y = g_grid.nodes()
-    shifted = alg.bch(alg.inv(z_nodes)[:, None, :], y[None, :, :])
-    g_zy = u(shifted) * np.conjugate(v(y))[None, :]
-    return g_grid.weight * dual_phase_grid(g_zy, g_grid, xi_grid.dual_grid, 1)
-
-
-def ref_plain_row(alg, window, x):
-    def row(z):
-        zx = alg.bch(z, x)
-        return zx, window(zx)
-    return row
-
-
-def ref_weyl_tau(alg, tau, p, u):
-    z, zeta = p.zv, p.zetav
-    tz_inv, zinv = alg.inv(tau(z)), alg.inv(z)
-    return lambda x: (np.exp(1j * einsum_phase(alg.bch(tz_inv, x), zeta))
-                      * u(alg.bch(zinv, x)))
-
-
-def ref_coherent_tau(alg, tau, w, p):
-    z, zeta = p.zv, p.zetav
-    tz_inv = alg.inv(tau(z))
-
-    def fn(x):
-        zx = alg.bch(z, x)
-        return np.exp(-1j * einsum_phase(alg.bch(tz_inv, zx), zeta)) * w(zx)
-    return fn
-
-
-def ref_wigner_tau(alg, tau, u, v, g_grid, xi_grid):
-    z_nodes, zeta_nodes = xi_grid.node_pairs()
-    y = g_grid.nodes()
-    vy = np.conjugate(v(y))
-    vals = np.empty((len(z_nodes), len(zeta_nodes)), dtype=complex)
-    for i, z in enumerate(z_nodes):
-        uz = u(alg.bch(alg.inv(z), y)) * vy
-        E = np.exp(1j * (alg.bch(alg.inv(tau(z)), y) @ zeta_nodes.T))
-        vals[i] = g_grid.weight * (uz @ E)
-    return vals
-
-
-def ref_tau_row(alg, tau, window, x):
-    def row(z):
-        zx = alg.bch(z, x)
-        return alg.bch(alg.inv(tau(z)), zx), window(zx)
-    return row
-
-
-def ref_mag_weyl(alg, A, p, u):
-    zinv, zeta = alg.inv(p.zv), p.zetav
-
-    def translated(x):
-        shifted = alg.bch(zinv, x)
-        return np.exp(1j * circulation(A, x, shifted)) * u(shifted)
-    return lambda x: np.exp(1j * einsum_phase(x, zeta)) * translated(x)
-
-
-def ref_mag_coherent(alg, A, w, p):
-    z, zeta = p.zv, p.zetav
-
-    def fn(x):
-        zx = alg.bch(z, x)
-        return np.exp(1j * (-einsum_phase(zx, zeta) - circulation(A, zx, x))) * w(zx)
-    return fn
-
-
-def ref_mag_wigner(alg, A, u, v, g_grid, xi_grid):
-    z_nodes, _ = xi_grid.node_pairs()
-    y = g_grid.nodes()
-    shifted = alg.bch(alg.inv(z_nodes)[:, None, :], y[None, :, :])
-    circ = np.empty(shifted.shape[:-1])
-    for i in range(len(z_nodes)):
-        circ[i] = circulation(A, y, shifted[i])
-    g_zy = u(shifted) * np.conjugate(v(y))[None, :] * np.exp(1j * circ)
-    return g_grid.weight * dual_phase_grid(g_zy, g_grid, xi_grid.dual_grid, 1)
-
-
-def ref_mag_row(alg, A, window, x):
-    def row(z):
-        zx = alg.bch(z, x)
-        return zx, window(zx) * np.exp(-1j * circulation(A, zx, x))
-    return row
 
 
 # -- set-ups -----------------------------------------------------------------------
@@ -184,25 +78,24 @@ def inputs(alg, seed):
     return u, v, p, pts
 
 
-def rel_max(got, ref):
-    return float(np.max(np.abs(got - ref))) / float(np.max(np.abs(ref)))
-
-
 # -- the shared routes against the replaced bodies ---------------------------------
+
+def system_of(alg, param, kind):
+    return tau_system(alg, param) if kind == "tau" else magnetic_system(alg, param)
+
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_shift_and_coherent_state_match_replaced_bodies(name):
     alg, grid, xi, param, kind = case(name)
     u, _, p, pts = inputs(alg, 1)
     w = make_window(alg, grid)
+    system = system_of(alg, param, kind)
     if kind == "tau":
-        pairs = [(weyl_tau(alg, param, p, u), ref_weyl_tau(alg, param, p, u)),
-                 (coherent_tau(alg, param, w, p), ref_coherent_tau(alg, param, w, p))]
+        got = [weyl_tau(alg, param, p, u), coherent_tau(alg, param, w, p)]
     else:
-        pairs = [(mag_weyl(alg, param, p, u), ref_mag_weyl(alg, param, p, u)),
-                 (mag_coherent(alg, param, w, p), ref_mag_coherent(alg, param, w, p))]
-    for got, ref in pairs:
-        assert rel_max(got(pts), ref(pts)) <= TOL
+        got = [mag_weyl(alg, param, p, u), mag_coherent(alg, param, w, p)]
+    assert rel_max(got[0](pts), shift(system, p, u, pts)) <= TOL
+    assert rel_max(got[1](pts), adjoint_shift(system, p, w.field, pts)) <= TOL
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -211,10 +104,9 @@ def test_wigner_matches_replaced_bodies(name):
     u, v, _, _ = inputs(alg, 2)
     if kind == "tau":
         got = wigner_tau(alg, param, u, v, grid, xi).values
-        ref = ref_wigner_tau(alg, param, u, v, grid, xi)
     else:
         got = mag_wigner(alg, param, u, v, grid, xi).values
-        ref = ref_mag_wigner(alg, param, u, v, grid, xi)
+    ref = wigner(system_of(alg, param, kind), u, v, grid, *xi.node_pairs())
     assert rel_max(got, ref) <= TOL
 
 
@@ -224,14 +116,12 @@ def test_kernel_matches_replaced_bodies(name):
     w = make_window(alg, grid, sigma=0.9, center=np.linspace(0.2, -0.3, alg.dim))
     cfg = BerezinConfig(alg, w, grid, xi, symbol(alg.dim))
     z_nodes, z_w = cfg.z_quadrature()
-    x = grid.nodes()
     if kind == "tau":
         got = berezin_tau(cfg, param).kernel
-        ref = assemble_kernel(cfg.symbol, z_nodes, z_w, ref_tau_row(alg, param, w, x))
     else:
         got = mag_berezin(cfg, param).kernel
-        ref = assemble_kernel(cfg.symbol, z_nodes, z_w, ref_mag_row(alg, param, w, x))
-    assert rel_max(got, ref) <= TOL
+    rows = row_data(system_of(alg, param, kind), w, grid.nodes())
+    assert rel_max(got, assemble_kernel(cfg.symbol, z_nodes, z_w, rows)) <= TOL
 
 
 @pytest.mark.parametrize("setup", [plane, h1])
@@ -239,16 +129,16 @@ def test_plain_routes_bitwise_equal_replaced_bodies(setup):
     alg, grid, xi = setup()
     u, v, p, pts = inputs(alg, 3)
     w = make_window(alg, grid, sigma=0.9)
-    assert np.array_equal(weyl(alg, p, u)(pts), ref_weyl(alg, p, u)(pts))
-    assert np.array_equal(weyl_adjoint(alg, p, u)(pts), ref_weyl_adjoint(alg, p, u)(pts))
-    assert np.array_equal(coherent_state(alg, w, p)(pts),
-                          ref_weyl_adjoint(alg, p, w.field)(pts))
+    plain = WeylSystem(alg)
+    assert np.array_equal(weyl(alg, p, u)(pts), shift(plain, p, u, pts))
+    assert np.array_equal(weyl_adjoint(alg, p, u)(pts), adjoint_shift(plain, p, u, pts))
+    assert np.array_equal(coherent_state(alg, w, p)(pts), adjoint_shift(plain, p, w.field, pts))
     assert np.array_equal(fourier_wigner(alg, u, v, grid, xi).values,
-                          ref_fourier_wigner(alg, u, v, grid, xi))
+                          whole_grid_wigner(plain, u, v, grid, xi))
     cfg = BerezinConfig(alg, w, grid, xi, symbol(alg.dim))
     # the same groups of z nodes as the plain system takes
-    z_nodes, z_w = cfg.z_groups(WeylSystem(alg))
-    ref = assemble_kernel(cfg.symbol, z_nodes, z_w, ref_plain_row(alg, w, grid.nodes()))
+    z_nodes, z_w = cfg.z_groups(plain)
+    ref = assemble_kernel(cfg.symbol, z_nodes, z_w, row_data(plain, w, grid.nodes()))
     assert np.array_equal(berezin_matrix(cfg).kernel, ref)
 
 
@@ -280,9 +170,7 @@ def test_mag_translation_is_the_shift_without_modulation():
     alg = heisenberg()
     A = linear3_potential(0.6)
     u, _, p, pts = inputs(alg, 5)
-    zinv = alg.inv(p.zv)
-    shifted = alg.bch(zinv, pts)
-    ref = np.exp(1j * circulation(A, pts, shifted)) * u(shifted)
+    ref = shift(magnetic_system(alg, A), PhasePoint(p.zv, np.zeros(3)), u, pts)
     assert rel_max(mag_translation(alg, A, p.zv, u)(pts), ref) <= TOL
 
 
