@@ -177,6 +177,18 @@ def _build_grid(spec, n, problems, default, dual=False, label="grid") -> Grid | 
         return None
 
 
+#: The keys each symbol kind reads besides "kind"; any other is a problem.
+_SYMBOL_KEYS = {
+    "gaussian": {"amplitude", "x_center", "x_sigma", "x_phase", "xi_center", "xi_sigma",
+                 "xi_phase"},
+    "delta": {"z", "zeta", "mass"},
+    "phase": {"z", "zeta"},
+    "one": set(),
+    "x_gaussian": {"sigma", "center", "amplitude"},
+    "xi_gaussian": {"center", "sigma"},
+}
+
+
 def _build_symbol(spec, n, problems) -> XiSymbol | None:
     if spec is None:
         spec = {"kind": "gaussian"}
@@ -187,13 +199,13 @@ def _build_symbol(spec, n, problems) -> XiSymbol | None:
         return None
     kind = spec.get("kind", "gaussian")
     keys = set(spec) - {"kind"}
+    if isinstance(kind, str) and kind in _SYMBOL_KEYS and keys - _SYMBOL_KEYS[kind]:
+        problems.append(f"unknown symbol keys for kind {kind!r}: "
+                        f"{sorted(keys - _SYMBOL_KEYS[kind])}")
+        return None
     try:
         if kind == "gaussian":
-            allowed = {"amplitude", "x_center", "x_sigma", "x_phase",
-                       "xi_center", "xi_sigma", "xi_phase"}
-            if keys - allowed:
-                problems.append(f"unknown symbol keys: {sorted(keys - allowed)}")
-            return GaussianSymbol.make(n, **{k: spec[k] for k in keys & allowed})
+            return GaussianSymbol.make(n, **{k: spec[k] for k in keys})
         if kind in ("delta", "phase"):
             point = (spec.get("z", [0.0] * n), spec.get("zeta", [0.0] * n))
             symbol = (DeltaSymbol.at(*point, spec.get("mass", 1.0)) if kind == "delta"
@@ -244,6 +256,9 @@ def parse_config(text: str | dict) -> ExperimentConfig:
     if not isinstance(xi_spec, dict):
         problems.append("xi_grid must be an object")
         xi_spec = {}
+    unknown = set(xi_spec) - {"g", "dual"}
+    if unknown:
+        problems.append(f"unknown xi_grid keys: {sorted(unknown)}")
     xi_default = half_width, xi_count
     xi_g = _build_grid(xi_spec.get("g"), n, problems, xi_default, label="xi_grid.g")
     xi_d = _build_grid(xi_spec.get("dual", raw.get("dual_grid")), n, problems,

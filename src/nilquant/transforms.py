@@ -32,6 +32,11 @@ points, so the sampled quantizer and the Fourier-Wigner transform of moved
 phase points run a block of z nodes or kernel rows per call.  The adjoint
 Bargmann map builds its factors with `_axis_factor` itself, since every
 member of a central group of z nodes shares them.
+
+The differences of two nodes of a grid along its axes form its difference
+lattice, `lag_grid`: 2 N_k - 1 lags per axis at the grid's spacing.  It is a
+grid like any other, so `dual_phase_grid` sums over it, or onto it, with its
+own cached factors; the covariant symbols take their first-layer sums there.
 """
 
 from __future__ import annotations
@@ -191,6 +196,22 @@ def dual_phase_grid(g: np.ndarray, y_grid: Grid, dual_grid: Grid, sign: int) -> 
     for factor in _axis_phase_factors(y_grid, dual_grid, sign):
         T = np.tensordot(T, factor, axes=([1], [0]))
     return T.reshape(len(g), dual_grid.size)
+
+
+def axes_grid(grid: Grid, axes) -> Grid:
+    """The factor of the tensor grid `grid` on `axes`, in that order; no
+    axes give the one-node grid of no dimensions."""
+    return Grid(tuple(grid.half_width[k] for k in axes), tuple(grid.counts[k] for k in axes),
+                grid.dual)
+
+
+def lag_grid(grid: Grid, axes) -> Grid:
+    """The difference lattice of `grid` on `axes`: the 2 N_k - 1 lags
+    d_k = j h_k, |j| < N_k, of two nodes along axis k, as a midpoint grid of
+    the same spacing, lags ascending.  `dual_phase_grid` sums over it (or
+    onto it) with its own cached per-axis factors."""
+    return Grid(tuple((2 * grid.counts[k] - 1) * grid.spacing[k] / 2 for k in axes),
+                tuple(2 * grid.counts[k] - 1 for k in axes), grid.dual)
 
 
 # The exponential chart is the identity on coordinates, so the group-side

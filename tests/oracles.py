@@ -5,8 +5,9 @@ defining sum one node at a time with a dense phase matrix: the Fourier-Wigner
 transform (`wigner`), the adjoint Bargmann map (`bargmann_adjoint`), the Op
 kernel (`op_kernel`), the dual-side phase sum (`phase_matrix`), the shift and
 the coherent state (`shift`, `adjoint_shift`), the Berezin kernel rows
-(`coherent_rows`), the Berezin transform (`per_point_bt`), the BCH product
-(`term_walk_bch`) and the Gaussian (`complex_gaussian`).  A test that compares
+(`coherent_rows`), the Berezin transform (`per_point_bt`), the Cov(T)
+diagonal (`bank_cov_diagonal`), the BCH product (`term_walk_bch`) and the
+Gaussian (`complex_gaussian`).  A test that compares
 at a tolerance compares against these.  `test_oracles` checks the
 Fourier-Wigner, Op-kernel and phase-sum routes against closed forms.
 
@@ -29,7 +30,7 @@ import numpy as np
 from nilquant.algebra import (MAX_BCH_DEPTH, LieAlgebra, _components, _run_bch, abelian,
                               bch_terms, engel, heisenberg)
 from nilquant.berezin import BerezinConfig, _row_blocks
-from nilquant.coherent import bargmann, coherent_state, make_window
+from nilquant.coherent import bargmann, coherent_state, coherent_state_bank, make_window
 from nilquant.fields import GaussianFactor, gaussian, sample_xi
 from nilquant.grids import Grid, XiGrid
 from nilquant.magnetic import circulation
@@ -470,6 +471,15 @@ def per_alpha_exp_bt(cfg, a_nodes, alpha_nodes):
             power = np.abs(dual_phase_grid(block, y_grid, xi.dual_grid, 1)) ** 2
             out[i, j] = power.reshape(-1) @ f
     return (xi.weight * y_grid.weight ** 2) * out
+
+
+def bank_cov_diagonal(T, alg, w, xi):
+    """Cov(T) on the Xi nodes one dual node at a time: the coherent-state bank
+    against T, vol^2 sum_{x, y} conj(omega_Z(x)) K(x, y) omega_Z(y) for every
+    row omega_Z of the bank."""
+    S = coherent_state_bank(alg, w, xi, T.grid.nodes())
+    vol = T.grid.weight
+    return vol * np.einsum("im,im->i", np.conjugate(S), S @ (vol * T.kernel).T)
 
 
 # ---------------------------------------------------------------------------

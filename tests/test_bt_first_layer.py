@@ -1,5 +1,5 @@
-"""The Berezin transform with its first-layer phases on the y side, against
-the route it replaced (one complex exp per (a, alpha, z, y)) and against one
+"""The Berezin transform by lag sums on the first-layer axes, against the
+route with one complex exp per (a, alpha, z, y) and against one
 Bargmann transform per point: on the line, H1, Engel and random nilpotent
 algebras with random Gaussian symbols and windows; the first-layer axes
 themselves, empty point sets and the memory of a call at the symbols-line
@@ -28,8 +28,8 @@ FIRST_LAYER_TOL = 1e-13
 
 # tracemalloc peak of one berezin_transform_nodes call at the symbols-line
 # sizes (128 z, y and dual nodes, 12 x 12 coarse nodes) on the route with one
-# complex exp per (a, alpha, z, y): 4.33 MB.  The first-layer route holds one
-# group's (N_z, N_y) phase beside the chunk's block and measured 4.23 MB.
+# complex exp per (a, alpha, z, y): 4.33 MB.  The lag route holds one group
+# point's window product and spectra at a time and measured 2.63 MB.
 REPLACED_ROUTE_PEAK = 4_340_000
 
 

@@ -8,7 +8,7 @@ import re
 import numpy as np
 import pytest
 
-from nilquant import operators, verify
+from nilquant import config, operators, verify
 from nilquant.cli import main
 from nilquant.config import ConfigError, parse_config
 from nilquant.exports import field_to_csv, load_matrix, matrix_to_csv, save_matrix
@@ -421,6 +421,18 @@ def test_cli_config_error_exit_code(tmp_path):
     ({"suite": 5}, "suite must be a suite name or a list of them"),
     ({"suite": ["weyl", 5]}, "suite must be a suite name or a list of them"),
     ({"out": 7}, "out must be a directory name"),
+    ({"symbol": {"kind": "delta", "masss": 2.0}},
+     r"unknown symbol keys for kind 'delta': \['masss'\]"),
+    ({"symbol": {"kind": "phase", "mass": 1.0}},
+     r"unknown symbol keys for kind 'phase': \['mass'\]"),
+    ({"symbol": {"kind": "one", "sigma": 1.0}}, r"unknown symbol keys for kind 'one': \['sigma'\]"),
+    ({"symbol": {"kind": "x_gaussian", "sigmaa": 3.0}},
+     r"unknown symbol keys for kind 'x_gaussian': \['sigmaa'\]"),
+    ({"symbol": {"kind": "xi_gaussian", "amplitude": 2.0}},
+     r"unknown symbol keys for kind 'xi_gaussian': \['amplitude'\]"),
+    ({"symbol": {"kind": "gaussian", "x_sigmaa": 1.0}},
+     r"unknown symbol keys for kind 'gaussian': \['x_sigmaa'\]"),
+    ({"xi_grid": {"g": {"count": 8}, "dula": {"count": 4}}}, r"unknown xi_grid keys: \['dula'\]"),
 ])
 def test_parse_reports_bad_specs(spec, problem):
     with pytest.raises(ConfigError, match=problem):
@@ -457,6 +469,22 @@ def test_cli_boolean_grid_values_exit_2(tmp_path, capsys, grid):
     assert main(["quantize", "--config", str(path), "--out", str(tmp_path / "q")]) == 2
     assert "bad grid: per-axis values must be numbers, not booleans" in capsys.readouterr().err
     assert not (tmp_path / "q").exists()
+
+
+def test_cli_misspelt_symbol_key_exits_2(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**SMALL, "symbol": {"kind": "delta", "masss": 2.0}}))
+    assert main(["quantize", "--config", str(path), "--out", str(tmp_path / "q")]) == 2
+    assert "masss" in capsys.readouterr().err
+    assert not (tmp_path / "q").exists()
+
+
+def test_every_symbol_kind_takes_its_own_keys():
+    for kind, keys in config._SYMBOL_KEYS.items():
+        spec = {"kind": kind}
+        spec.update({k: ([0.1] if k in ("z", "zeta", "center", "x_center", "xi_center",
+                                           "x_phase", "xi_phase") else 1.0) for k in keys})
+        parse_config({**SMALL, "symbol": spec})
 
 
 def test_grid_box_refuses_booleans_and_keeps_whole_floats():

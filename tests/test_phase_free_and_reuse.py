@@ -23,7 +23,7 @@ from nilquant.grids import Grid, XiGrid
 from nilquant.operators import OperatorMatrix
 from nilquant.symbols import GaussianFactor, GaussianSymbol
 
-from oracles import BT_TOL, bt_case, complex_gaussian, per_point_bt, rel_max
+from oracles import BT_TOL, bank_cov_diagonal, bt_case, complex_gaussian, per_point_bt, rel_max
 
 # The rounding budget of the two routes.  numpy's real and complex exp are
 # each within one ulp of exp(quad), so they may differ by 2 ulps; the
@@ -176,8 +176,9 @@ def test_memo_evicts_within_its_byte_budget(fresh_memo, monkeypatch):
 
 
 def test_covariant_symbols_reuse_one_bank(fresh_memo, monkeypatch):
-    """cov_full, cov_diagonal and kernel_from_cov on one operator grid build
-    the bank once, and give the same numbers as without the memo."""
+    """cov_full and kernel_from_cov on one operator grid build the bank once
+    and cov_diagonal none, and they give the same numbers as without the
+    memo."""
     alg, grid, xi, w = line_bank_case()
     rng = np.random.default_rng(4)
     A = rng.standard_normal((grid.size, grid.size))
@@ -197,14 +198,6 @@ def test_covariant_symbols_reuse_one_bank(fresh_memo, monkeypatch):
     assert builds == [1]
 
 
-def column_cov_diagonal(T, alg, w, xi):
-    """The contraction cov_diagonal took before: T S^T, (m, n_xi), read down
-    its columns."""
-    S = coherent.coherent_state_bank(alg, w, xi, T.grid)
-    vol = T.grid.weight
-    return vol * np.einsum("im,mi->i", np.conjugate(S), (vol * T.kernel) @ S.T)
-
-
 @pytest.mark.parametrize("group", ["line", "h1"])
 def test_cov_diagonal_matches_the_column_contraction(group):
     cfg, _ = bt_case(group)
@@ -213,7 +206,7 @@ def test_cov_diagonal_matches_the_column_contraction(group):
     T = OperatorMatrix(cfg.g_grid, rng.standard_normal((m, m))
                        + 1j * rng.standard_normal((m, m)))
     got = cov_diagonal(T, cfg.algebra, cfg.window, cfg.xi_grid)
-    want = column_cov_diagonal(T, cfg.algebra, cfg.window, cfg.xi_grid)
+    want = bank_cov_diagonal(T, cfg.algebra, cfg.window, cfg.xi_grid)
     assert got.shape == (cfg.xi_grid.size,)
     assert rel_max(got, want) <= 1e-13
 
@@ -236,23 +229,6 @@ def test_batched_bt_matches_per_point_route(group, chunk, monkeypatch):
     p = PhasePoint(z[-1], zeta[1])
     one = berezin_transform(cfg, p)
     assert type(one) is complex and abs(one - per_point_bt(cfg, p)) <= BT_TOL * abs(one)
-
-
-def test_bt_chunks_count_block_and_transform_entries(monkeypatch):
-    """Line: 64 z nodes x (64 y + 48 dual nodes) = 7168 entries per dual
-    point, so a budget of 3 points' worth splits 7 dual points as 3 + 3 + 1."""
-    cfg, coarse = bt_case("line")
-    monkeypatch.setattr(covariant, "BT_CHUNK_ENTRIES", 3 * 64 * (64 + 48) + 5)
-    seen = []
-    grid_phase = covariant.dual_phase_grid
-
-    def recording(g, *args):
-        seen.append(len(g) // 64)
-        return grid_phase(g, *args)
-
-    monkeypatch.setattr(covariant, "dual_phase_grid", recording)
-    berezin_transform_nodes(cfg, coarse)
-    assert seen == [3, 3, 1] * 5
 
 
 def test_batched_bt_warns_past_nyquist():
